@@ -5,10 +5,10 @@
 // This bench times the kernel's primitive operations in isolation:
 //
 //   schedule_dispatch_fifo    in-order schedule + drain (arrival streams)
-//   schedule_dispatch_random  scrambled times (worst-case heap sifts)
-//   bulk_drain                dense calendar bulk-loaded then drained — the
-//                             pattern where the heap pays an O(log n) sift
-//                             per pop and the wheel stays amortized O(1)
+//   schedule_dispatch_random  scrambled times spread over ~2^40 usec, so
+//                             events cascade through many wheel levels
+//   bulk_drain                dense calendar bulk-loaded then drained,
+//                             amortized O(1) per event on the wheel
 //   steady_state_window       bounded pending set (~256), schedule and
 //                             dispatch interleaved — the shape real runs
 //                             have
@@ -20,14 +20,6 @@
 //   reschedule_churn          one event re-timed repeatedly (the preemptive
 //                             processor's completion-event pattern)
 //   processor_preempt_storm   end-to-end Processor preempt/resume chains
-//   baseline_map_fifo /       the pre-PR-4 kernel's data structure — a
-//   baseline_map_random       std::map<(time,seq), std::function> — run on
-//   baseline_map_steady_state identical workloads
-//
-// Every kernel-sensitive operation runs twice: the bare name measures the
-// production timer-wheel kernel, and the `_heap` twin measures the 4-ary
-// heap reference oracle on the identical workload, so each report carries
-// its own wheel-vs-heap comparison alongside the historical map baseline.
 //
 // Times are host wall times (not deterministic), so the report shares only
 // the envelope with the sweep benches: check_bench_regression.py
@@ -36,8 +28,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -104,33 +94,6 @@ OpResult time_op(std::string name, int repeats, std::uint64_t ops_per_run,
   return result;
 }
 
-/// The previous kernel's queue, reconstructed as a reference baseline: one
-/// red-black-tree node plus one type-erased std::function per event.
-class MapQueue {
- public:
-  void schedule(std::int64_t at, std::function<void()> fn) {
-    queue_.emplace(Key{at, next_seq_++}, std::move(fn));
-  }
-  bool step() {
-    if (queue_.empty()) return false;
-    auto it = queue_.begin();
-    now_ = it->first.first;
-    std::function<void()> fn = std::move(it->second);
-    queue_.erase(it);
-    fn();
-    return true;
-  }
-  /// Virtual time of the last dispatched event — mirrors Simulator::now()
-  /// so the steady-state baseline runs the exact same workload.
-  [[nodiscard]] std::int64_t now() const { return now_; }
-
- private:
-  using Key = std::pair<std::int64_t, std::uint64_t>;
-  std::uint64_t next_seq_ = 1;
-  std::int64_t now_ = 0;
-  std::map<Key, std::function<void()>> queue_;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -153,18 +116,13 @@ int main(int argc, char** argv) {
 
   std::vector<OpResult> results;
 
-  // Run `body(kind)` as two operations: `name` on the production wheel
-  // kernel and `name_heap` on the 4-ary heap oracle, identical workloads.
-  const auto both_kernels = [&](const std::string& name,
-                                std::uint64_t ops_per_run, auto body) {
-    results.push_back(time_op(name, repeats, ops_per_run,
-                              [&] { body(sim::KernelKind::kWheel); }));
-    results.push_back(time_op(name + "_heap", repeats, ops_per_run,
-                              [&] { body(sim::KernelKind::kHeap); }));
+  const auto run = [&](const std::string& name, std::uint64_t ops_per_run,
+                       auto body) {
+    results.push_back(time_op(name, repeats, ops_per_run, body));
   };
 
-  both_kernels("schedule_dispatch_fifo", events, [&](sim::KernelKind kind) {
-    sim::Simulator sim(kind);
+  run("schedule_dispatch_fifo", events, [&] {
+    sim::Simulator sim;
     for (std::uint64_t i = 0; i < events; ++i) {
       sim.schedule_at(Time(static_cast<std::int64_t>(i)),
                       [&sink, i] { sink += i; });
@@ -172,8 +130,8 @@ int main(int argc, char** argv) {
     sim.run_all();
   });
 
-  both_kernels("schedule_dispatch_random", events, [&](sim::KernelKind kind) {
-    sim::Simulator sim(kind);
+  run("schedule_dispatch_random", events, [&] {
+    sim::Simulator sim;
     Scramble scramble(42);
     for (std::uint64_t i = 0; i < events; ++i) {
       const auto at = static_cast<std::int64_t>(scramble.next() >> 24);
@@ -184,8 +142,8 @@ int main(int argc, char** argv) {
 
   // Bulk drain over a dense calendar: every event loaded before the first
   // dispatch, times packed ~8 usec apart, so the drain phase dominates.
-  both_kernels("bulk_drain", events, [&](sim::KernelKind kind) {
-    sim::Simulator sim(kind);
+  run("bulk_drain", events, [&] {
+    sim::Simulator sim;
     Scramble scramble(17);
     const std::uint64_t span = events * 8;
     for (std::uint64_t i = 0; i < events; ++i) {
@@ -199,8 +157,8 @@ int main(int argc, char** argv) {
   // (releases, completions, backstops) with schedule and dispatch
   // interleaved, not a bulk load followed by a bulk drain.
   constexpr std::uint64_t kWindow = 256;
-  both_kernels("steady_state_window", events, [&](sim::KernelKind kind) {
-    sim::Simulator sim(kind);
+  run("steady_state_window", events, [&] {
+    sim::Simulator sim;
     Scramble scramble(7);
     for (std::uint64_t i = 0; i < kWindow; ++i) {
       sim.schedule_at(Time(static_cast<std::int64_t>(scramble.next() % 1000)),
@@ -217,50 +175,27 @@ int main(int argc, char** argv) {
 
   // The same interleaving with 10^5 events resident — the next scale tier
   // the ROADMAP targets (10^4–10^6 tasks per cell).  Each new event lands
-  // uniformly inside a ~400 ms horizon, so the heap sifts through ~17
-  // levels while the wheel files into one of its buckets.
+  // uniformly inside a ~400 ms horizon, well past cache-resident buckets.
   constexpr std::uint64_t kBigWindow = 100000;
-  both_kernels("steady_state_pending_100k", events,
-               [&](sim::KernelKind kind) {
-                 sim::Simulator sim(kind);
-                 Scramble scramble(11);
-                 const std::uint64_t spread = kBigWindow * 4;
-                 for (std::uint64_t i = 0; i < kBigWindow; ++i) {
-                   sim.schedule_at(
-                       Time(static_cast<std::int64_t>(scramble.next() %
-                                                      spread)),
-                       [&sink] { ++sink; });
-                 }
-                 for (std::uint64_t i = 0; i < events; ++i) {
-                   sim.step();
-                   const std::int64_t at =
-                       sim.now().usec() +
-                       static_cast<std::int64_t>(scramble.next() % spread);
-                   sim.schedule_at(Time(at), [&sink] { ++sink; });
-                 }
-                 // Don't drain the 100k tail: this op times the resident
-                 // steady state, not a trailing bulk drain.
-               });
-
-  results.push_back(time_op("baseline_map_steady_state", repeats, events, [&] {
-    MapQueue queue;
-    Scramble scramble(7);
-    for (std::uint64_t i = 0; i < kWindow; ++i) {
-      queue.schedule(static_cast<std::int64_t>(scramble.next() % 1000),
-                     [&sink] { ++sink; });
+  run("steady_state_pending_100k", events, [&] {
+    sim::Simulator sim;
+    Scramble scramble(11);
+    const std::uint64_t spread = kBigWindow * 4;
+    for (std::uint64_t i = 0; i < kBigWindow; ++i) {
+      sim.schedule_at(Time(static_cast<std::int64_t>(scramble.next() % spread)),
+                      [&sink] { ++sink; });
     }
     for (std::uint64_t i = 0; i < events; ++i) {
-      queue.step();
-      const std::int64_t at =
-          queue.now() + static_cast<std::int64_t>(scramble.next() % 1000);
-      queue.schedule(at, [&sink] { ++sink; });
+      sim.step();
+      const auto offset = static_cast<std::int64_t>(scramble.next() % spread);
+      sim.schedule_at(sim.now() + Duration(offset), [&sink] { ++sink; });
     }
-    while (queue.step()) {
-    }
-  }));
+    // Don't drain the 100k tail: this op times the resident steady state,
+    // not a trailing bulk drain.
+  });
 
-  both_kernels("schedule_cancel", events, [&](sim::KernelKind kind) {
-    sim::Simulator sim(kind);
+  run("schedule_cancel", events, [&] {
+    sim::Simulator sim;
     std::vector<sim::EventHandle> handles;
     handles.reserve(events);
     for (std::uint64_t i = 0; i < events; ++i) {
@@ -271,8 +206,8 @@ int main(int argc, char** argv) {
     sim.run_all();  // reaps the dead entries
   });
 
-  both_kernels("reschedule_churn", events, [&](sim::KernelKind kind) {
-    sim::Simulator sim(kind);
+  run("reschedule_churn", events, [&] {
+    sim::Simulator sim;
     sim::EventHandle h =
         sim.schedule_at(Time(static_cast<std::int64_t>(events) + 1),
                         [&sink] { ++sink; });
@@ -287,8 +222,8 @@ int main(int argc, char** argv) {
   // a high-priority item that preempts it — exercising submit, the
   // completion-event reschedule, and resume.
   const std::uint64_t waves = events / 4;
-  both_kernels("processor_preempt_storm", waves, [&](sim::KernelKind kind) {
-    sim::Simulator sim(kind);
+  run("processor_preempt_storm", waves, [&] {
+    sim::Simulator sim;
     sim::Processor cpu(sim, ProcessorId(0));
     for (std::uint64_t w = 0; w < waves; ++w) {
       const auto base = static_cast<std::int64_t>(w) * 100;
@@ -303,26 +238,6 @@ int main(int argc, char** argv) {
     }
     sim.run_all();
   });
-
-  results.push_back(time_op("baseline_map_fifo", repeats, events, [&] {
-    MapQueue queue;
-    for (std::uint64_t i = 0; i < events; ++i) {
-      queue.schedule(static_cast<std::int64_t>(i), [&sink, i] { sink += i; });
-    }
-    while (queue.step()) {
-    }
-  }));
-
-  results.push_back(time_op("baseline_map_random", repeats, events, [&] {
-    MapQueue queue;
-    Scramble scramble(42);
-    for (std::uint64_t i = 0; i < events; ++i) {
-      const auto at = static_cast<std::int64_t>(scramble.next() >> 24);
-      queue.schedule(at, [&sink, i] { sink += i; });
-    }
-    while (queue.step()) {
-    }
-  }));
 
   std::printf("  %-28s %12s %12s %12s\n", "operation", "ns/op", "mean ns/op",
               "ops/run");

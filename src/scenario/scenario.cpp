@@ -1,6 +1,7 @@
 #include "scenario/scenario.h"
 
 #include <chrono>
+#include <string>
 #include <utility>
 
 #include "workload/arrival.h"
@@ -108,6 +109,14 @@ Status validate(const ScenarioSpec& spec) {
   if (spec.drain.is_negative()) {
     return Status::error("scenario drain must be non-negative, got " +
                          spec.drain.to_string());
+  }
+  // run_scenario runs to horizon + drain; that sum must stay an int64.
+  if (spec.drain > Duration::max() - spec.horizon) {
+    return Status::error("scenario drain_us " +
+                         std::to_string(spec.drain.usec()) +
+                         " plus horizon_us " +
+                         std::to_string(spec.horizon.usec()) +
+                         " overflows the int64 microsecond range");
   }
   if (Status s = core::validate_config(spec.config); !s.is_ok()) return s;
   if (spec.workload.kind == WorkloadSpec::Kind::kGenerated) {

@@ -36,6 +36,19 @@ Result<std::vector<ProcessorId>> ids_from_json(const json::Value& v,
   return out;
 }
 
+/// Seeds are unsigned: a negative number is refused here, by name, instead
+/// of wrapping to a huge value that validate() would misreport as past 2^53.
+Result<std::uint64_t> seed_from_json(const json::Value& parent,
+                                     const char* key, const char* field) {
+  const std::int64_t seed = parent.get(key).as_int(1);
+  if (seed < 0) {
+    return Result<std::uint64_t>::error(std::string(field) +
+                                        " is negative (" +
+                                        std::to_string(seed) + ")");
+  }
+  return static_cast<std::uint64_t>(seed);
+}
+
 json::Value config_to_json(const core::SystemConfig& config) {
   json::Value out = json::Value::object();
   out.set("strategies", config.strategies.label());
@@ -68,13 +81,17 @@ Result<core::SystemConfig> config_from_json(const json::Value& v) {
   config.comm_latency =
       Duration(v.get("comm_latency_us").as_int(config.comm_latency.usec()));
   config.comm_jitter = Duration(v.get("comm_jitter_us").as_int());
-  config.comm_jitter_seed =
-      static_cast<std::uint64_t>(v.get("comm_jitter_seed").as_int(1));
+  const auto jitter_seed =
+      seed_from_json(v, "comm_jitter_seed", "config.comm_jitter_seed");
+  if (!jitter_seed.is_ok()) return R::error(jitter_seed.message());
+  config.comm_jitter_seed = jitter_seed.value();
   config.loopback_latency = Duration(v.get("loopback_latency_us").as_int());
   if (v.get("lb_policy").is_string()) {
     config.lb_policy = v.get("lb_policy").as_string();
   }
-  config.lb_seed = static_cast<std::uint64_t>(v.get("lb_seed").as_int(1));
+  const auto lb_seed = seed_from_json(v, "lb_seed", "config.lb_seed");
+  if (!lb_seed.is_ok()) return R::error(lb_seed.message());
+  config.lb_seed = lb_seed.value();
   config.enable_trace = v.get("enable_trace").as_bool();
   if (v.get("task_manager").is_number()) {
     config.task_manager =
@@ -394,7 +411,9 @@ Result<ScenarioSpec> spec_from_json(const json::Value& v) {
   }
   ScenarioSpec spec;
   spec.name = v.get("name").as_string();
-  spec.seed = static_cast<std::uint64_t>(v.get("seed").as_int(1));
+  const auto seed = seed_from_json(v, "seed", "seed");
+  if (!seed.is_ok()) return R::error(seed.message());
+  spec.seed = seed.value();
   spec.horizon = Duration(v.get("horizon_us").as_int(spec.horizon.usec()));
   spec.drain = Duration(v.get("drain_us").as_int(spec.drain.usec()));
   auto config = config_from_json(v.get("config"));

@@ -3,36 +3,17 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstdlib>
-#include <string_view>
 #include <utility>
 
 namespace rtcm::sim {
 
 namespace {
-/// Heap arity.  4 children per node halves the tree depth of a binary heap
-/// (fewer cache lines per sift) at the cost of three extra comparisons per
-/// level — the classic d-ary trade that favours d=4 for 24-byte entries.
-constexpr std::size_t kArity = 4;
 /// Below this many stored entries, compaction is never worth the sweep.
 constexpr std::size_t kCompactMinEntries = 256;
 }  // namespace
 
-KernelKind default_kernel_kind() {
-  // Read once per Simulator construction, before any thread is spawned
-  // (sweep cells construct their simulators inside their own job).
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  const char* env = std::getenv("RTCM_SIM_KERNEL");
-  if (env != nullptr && std::string_view(env) == "heap") {
-    return KernelKind::kHeap;
-  }
-  return KernelKind::kWheel;
-}
-
-Simulator::Simulator(KernelKind kind) : kind_(kind) {
-  if (kind_ == KernelKind::kWheel) {
-    wheel_.resize(static_cast<std::size_t>(kWheelLevels) * kWheelSlots);
-  }
+Simulator::Simulator() {
+  wheel_.resize(static_cast<std::size_t>(kWheelLevels) * kWheelSlots);
 }
 
 std::uint32_t Simulator::acquire_slot(EventFn fn) {
@@ -57,92 +38,6 @@ void Simulator::release_slot(std::uint32_t slot) {
   --live_;
 }
 
-// --- shared 4-ary heap primitives -------------------------------------------
-
-void Simulator::heap4_push(std::vector<Entry>& heap, const Entry& entry) {
-  // Hole-based sift-up: bubble a hole to the entry's position and store
-  // once, instead of swapping the entry level by level.  Events scheduled
-  // in nondecreasing time order (arrival streams) place with one compare.
-  std::size_t i = heap.size();
-  heap.push_back(entry);
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / kArity;
-    if (!before(entry, heap[parent])) break;
-    heap[i] = heap[parent];
-    i = parent;
-  }
-  heap[i] = entry;
-}
-
-// `moved` must not alias an element of `heap` (elements are overwritten
-// while it is still compared against) — callers pass a local copy.
-void Simulator::heap4_sift_down(std::vector<Entry>& heap, std::size_t i,
-                                const Entry& moved) {
-  for (;;) {
-    const std::size_t first = i * kArity + 1;
-    if (first >= heap.size()) break;
-    const std::size_t last = std::min(first + kArity, heap.size());
-    std::size_t best = first;
-    for (std::size_t c = first + 1; c < last; ++c) {
-      if (before(heap[c], heap[best])) best = c;
-    }
-    if (!before(heap[best], moved)) break;
-    heap[i] = heap[best];
-    i = best;
-  }
-  heap[i] = moved;
-}
-
-void Simulator::heap4_pop(std::vector<Entry>& heap) {
-  assert(!heap.empty());
-  const Entry moved = heap.back();
-  heap.pop_back();
-  if (!heap.empty()) heap4_sift_down(heap, 0, moved);
-}
-
-void Simulator::heap4_heapify(std::vector<Entry>& heap) {
-  if (heap.size() < 2) return;
-  for (std::size_t i = (heap.size() - 2) / kArity + 1; i-- > 0;) {
-    const Entry moved = heap[i];
-    heap4_sift_down(heap, i, moved);
-  }
-}
-
-// --- heap kernel -------------------------------------------------------------
-
-void Simulator::settle_front() {
-  while (!heap_.empty() && entry_dead(heap_.front())) heap4_pop(heap_);
-}
-
-void Simulator::heap_dispatch_front() {
-  // settle_front() has already run; the front is live.
-  const Entry top = heap_.front();
-  heap4_pop(heap_);
-  now_ = Time(top.time_usec);
-  // Move the callback out and release the slot before invoking: the
-  // callback may schedule, cancel, or reschedule other events (mutating the
-  // slab underneath us), and cancelling the currently-dispatching event
-  // must report false.
-  EventFn fn = std::move(slots_[top.slot].fn);
-  release_slot(top.slot);
-  ++executed_;
-  fn();
-}
-
-void Simulator::heap_maybe_compact() {
-  // Every live event owns exactly one live heap entry, so the dead count is
-  // size - live.  Rebuilding when dead exceeds live keeps queue memory
-  // O(live) and costs O(1) amortized: a sweep of n entries discards > n/2
-  // dead ones, each of which paid for itself when it was created.
-  if (heap_.size() <= kCompactMinEntries || heap_.size() - live_ <= live_) {
-    return;
-  }
-  std::erase_if(heap_, [this](const Entry& e) { return entry_dead(e); });
-  heap4_heapify(heap_);
-}
-
-// --- wheel kernel ------------------------------------------------------------
-
 void Simulator::wheel_place(const Entry& entry) {
   // Level = most significant base-64 digit where the event time differs
   // from now.  Because now only grows, a stored level is only ever too
@@ -152,10 +47,6 @@ void Simulator::wheel_place(const Entry& entry) {
   const std::uint64_t diff = u ^ static_cast<std::uint64_t>(now_.usec());
   const int level =
       diff == 0 ? 0 : (std::bit_width(diff) - 1) / kSlotBits;
-  if (level >= kWheelLevels) {
-    heap4_push(overflow_, entry);
-    return;
-  }
   const std::uint64_t slot = digit(entry.time_usec, level);
   bucket(level, slot).push_back(entry);
   occupied_[level] |= std::uint64_t{1} << slot;
@@ -176,29 +67,7 @@ void Simulator::wheel_advance(Time t) {
   now_ = t;
   const std::uint64_t diff = oldu ^ newu;
   if (diff == 0) return;
-  int top = (std::bit_width(diff) - 1) / kSlotBits;
-  if (top >= kWheelLevels) {
-    // Crossed the wheel's full span: overflow events whose time lies in the
-    // new span are now representable — file them.  The overflow heap pops
-    // in (time, seq) order, so draining while the front is in-span moves
-    // exactly the reachable ones.
-    const int span_shift = kSlotBits * kWheelLevels;
-    const std::uint64_t span = newu >> span_shift;
-    while (!overflow_.empty()) {
-      if (entry_dead(overflow_.front())) {
-        heap4_pop(overflow_);
-        --wheel_dead_;
-        continue;
-      }
-      const Entry front = overflow_.front();
-      if (static_cast<std::uint64_t>(front.time_usec) >> span_shift != span) {
-        break;
-      }
-      heap4_pop(overflow_);
-      wheel_place(front);
-    }
-    top = kWheelLevels - 1;
-  }
+  const int top = (std::bit_width(diff) - 1) / kSlotBits;
   // Cascade the new instant's digit path top-down.  Entries here match
   // now_ at their bucket's digit, so re-placing files them strictly below
   // their source level (level 0 for events at exactly now_) and never onto
@@ -247,9 +116,6 @@ bool Simulator::wheel_settle() {
           mask &= mask - 1;
         }
       }
-      assert(wheel_dead_ >= overflow_.size());
-      wheel_dead_ -= overflow_.size();
-      overflow_.clear();
       assert(wheel_dead_ == 0);
     }
     return false;
@@ -289,14 +155,10 @@ bool Simulator::wheel_settle() {
       mask &= mask - 1;
     }
   }
-  // Nothing live in the wheel: the front is the overflow minimum.
-  while (!overflow_.empty() && entry_dead(overflow_.front())) {
-    heap4_pop(overflow_);
-    --wheel_dead_;
-  }
-  assert(!overflow_.empty() && "live_ > 0 implies a reachable live entry");
-  wheel_front_time_ = overflow_.front().time_usec;
-  return true;
+  // Unreachable: every live entry sits at or above now_'s digit path, and
+  // the 11 levels cover every instant, so the scan above always finds it.
+  assert(false && "live_ > 0 implies a reachable live entry");
+  return false;
 }
 
 void Simulator::wheel_dispatch_front() {
@@ -340,11 +202,14 @@ void Simulator::wheel_dispatch_front() {
   }
 }
 
-void Simulator::wheel_maybe_compact() {
-  // Same bound as the heap kernel: sweep every structure once dead entries
-  // outnumber live ones, so reschedule storms keep memory O(live).  The
-  // sweep also reaps buckets the scan window has moved past (slots below
-  // now_'s digit path hold only dead entries).
+void Simulator::note_dead_entry() {
+  ++wheel_dead_;
+  // Sweep every bucket once dead entries outnumber live ones, so
+  // cancel/reschedule storms keep queue memory O(live) at O(1) amortized
+  // cost: a sweep discards more dead entries than it keeps live ones, and
+  // each dead entry paid for itself when it was created.  The sweep also
+  // reaps buckets the scan window has moved past (slots below now_'s digit
+  // path hold only dead entries).
   if (wheel_dead_ <= kCompactMinEntries || wheel_dead_ <= live_) return;
   for (int l = 0; l < kWheelLevels; ++l) {
     std::uint64_t mask = occupied_[l];
@@ -361,20 +226,7 @@ void Simulator::wheel_maybe_compact() {
   due_.erase(due_.begin(), due_.begin() + static_cast<std::ptrdiff_t>(due_idx_));
   due_idx_ = 0;
   std::erase_if(due_, [this](const Entry& e) { return entry_dead(e); });
-  std::erase_if(overflow_, [this](const Entry& e) { return entry_dead(e); });
-  heap4_heapify(overflow_);
   wheel_dead_ = 0;
-}
-
-// --- shared API --------------------------------------------------------------
-
-void Simulator::note_dead_entry() {
-  if (kind_ == KernelKind::kHeap) {
-    heap_maybe_compact();
-  } else {
-    ++wheel_dead_;
-    wheel_maybe_compact();
-  }
 }
 
 EventHandle Simulator::schedule_at(Time at, EventFn fn) {
@@ -383,11 +235,7 @@ EventHandle Simulator::schedule_at(Time at, EventFn fn) {
   const std::uint32_t slot = acquire_slot(std::move(fn));
   const std::uint32_t gen = slots_[slot].gen;
   const Entry entry{at.usec(), next_seq_++, slot, gen};
-  if (kind_ == KernelKind::kHeap) {
-    heap4_push(heap_, entry);
-  } else {
-    wheel_place(entry);
-  }
+  wheel_place(entry);
   ++live_;
   return EventHandle(slot, gen);
 }
@@ -414,60 +262,32 @@ bool Simulator::reschedule(EventHandle& handle, Time at) {
   assert(s.fn && "live generation implies armed slot");
   ++s.gen;  // the currently-queued entry is now dead
   const Entry entry{at.usec(), next_seq_++, handle.slot_, s.gen};
-  if (kind_ == KernelKind::kHeap) {
-    heap4_push(heap_, entry);
-  } else {
-    wheel_place(entry);
-  }
+  wheel_place(entry);
   handle.gen_ = s.gen;
   note_dead_entry();
   return true;
 }
 
 bool Simulator::step() {
-  if (kind_ == KernelKind::kHeap) {
-    settle_front();
-    if (heap_.empty()) return false;
-    heap_dispatch_front();
-  } else {
-    if (!wheel_settle()) return false;
-    wheel_dispatch_front();
-  }
+  if (!wheel_settle()) return false;
+  wheel_dispatch_front();
   return true;
 }
 
 void Simulator::run_until(Time deadline) {
-  // Settle once per dispatch: the dispatch helpers assume a settled front,
-  // so the dead-entry scan that used to run twice per event (settle in the
-  // loop head, again inside step) runs exactly once.
-  if (kind_ == KernelKind::kHeap) {
-    for (;;) {
-      settle_front();
-      if (heap_.empty() || Time(heap_.front().time_usec) > deadline) break;
-      heap_dispatch_front();
-    }
-    if (now_ < deadline) now_ = deadline;
-  } else {
-    for (;;) {
-      if (!wheel_settle() || Time(wheel_front_time_) > deadline) break;
-      wheel_dispatch_front();
-    }
-    // Commit the horizon through wheel_advance, not a bare assignment: the
-    // digit path must stay cascaded for every observable now_.
-    if (now_ < deadline) wheel_advance(deadline);
+  // Settle once per dispatch: wheel_dispatch_front assumes a settled front,
+  // so the dead-entry scan runs exactly once per event.
+  while (wheel_settle() && Time(wheel_front_time_) <= deadline) {
+    wheel_dispatch_front();
   }
+  // Commit the horizon through wheel_advance, not a bare assignment: the
+  // digit path must stay cascaded for every observable now_.
+  if (now_ < deadline) wheel_advance(deadline);
 }
 
 void Simulator::run_all() {
   while (step()) {
   }
-}
-
-std::size_t Simulator::queue_entries() const {
-  // Every live event stores exactly one live entry; dead entries are
-  // size - live for the heap and counted explicitly for the wheel.
-  if (kind_ == KernelKind::kHeap) return heap_.size();
-  return live_ + wheel_dead_;
 }
 
 }  // namespace rtcm::sim

@@ -86,7 +86,7 @@ void Histogram::add(double x) {
     return;
   }
   if (x >= hi_) {
-    ++overflow_;
+    ++overflowed_;
     return;
   }
   const double width = (hi_ - lo_) / static_cast<double>(counts_.size());

@@ -60,7 +60,7 @@ class Histogram {
   [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
   [[nodiscard]] std::size_t bucket(std::size_t i) const { return counts_[i]; }
   [[nodiscard]] std::size_t underflow() const { return underflow_; }
-  [[nodiscard]] std::size_t overflow() const { return overflow_; }
+  [[nodiscard]] std::size_t overflow() const { return overflowed_; }
   [[nodiscard]] std::size_t total() const { return total_; }
   /// One-line ASCII sparkline of bucket densities.
   [[nodiscard]] std::string render() const;
@@ -70,7 +70,7 @@ class Histogram {
   double hi_;
   std::vector<std::size_t> counts_;
   std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
+  std::size_t overflowed_ = 0;
   std::size_t total_ = 0;
 };
 

@@ -88,6 +88,14 @@ TEST(ScenarioValidation, RejectsBadHorizonAndDrain) {
   spec = small_generated_spec();
   spec.drain = Duration::microseconds(-1);
   EXPECT_FALSE(scenario::validate(spec).is_ok());
+  // horizon + drain must not overflow int64 (run_scenario runs to the sum).
+  spec = small_generated_spec();
+  spec.drain = Duration::max() - spec.horizon + Duration(1);
+  const Status overflow = scenario::validate(spec);
+  EXPECT_FALSE(overflow.is_ok());
+  EXPECT_NE(overflow.message().find("drain_us"), std::string::npos);
+  spec.drain = Duration::max() - spec.horizon;  // the largest that fits
+  EXPECT_TRUE(scenario::validate(spec).is_ok());
 }
 
 TEST(ScenarioValidation, RejectsDegenerateGeneratedShape) {
@@ -120,6 +128,28 @@ TEST(ScenarioValidation, RejectsSeedsBeyondJsonExactRange) {
   spec = small_generated_spec();
   spec.seed = 1ull << 53;  // exactly representable
   EXPECT_TRUE(scenario::validate(spec).is_ok());
+
+  // Negative seeds in a spec document are refused by name as negative, not
+  // wrapped to 2^64 - 1 and misreported as past 2^53.
+  const auto reject = [](const char* section, const char* key,
+                         const std::string& field) {
+    json::Value doc = scenario::to_json(small_generated_spec());
+    if (section == nullptr) {
+      doc.set(key, -1);
+    } else {
+      json::Value inner = doc.get(section);
+      inner.set(key, -1);
+      doc.set(section, inner);
+    }
+    const auto parsed = scenario::spec_from_text(doc.dump());
+    ASSERT_FALSE(parsed.is_ok()) << field;
+    EXPECT_NE(parsed.message().find(field + " is negative"),
+              std::string::npos)
+        << parsed.message();
+  };
+  reject(nullptr, "seed", "seed");
+  reject("config", "comm_jitter_seed", "config.comm_jitter_seed");
+  reject("config", "lb_seed", "config.lb_seed");
 }
 
 TEST(ScenarioValidation, RejectsEmptyExplicitWorkload) {

@@ -2,17 +2,16 @@
 //
 // The kernel's contract is that scheduling, cancelling, rescheduling and
 // dispatching events performs ZERO heap allocations once the slab and the
-// ordering structure are warm, for any capture within EventFn's inline
-// capacity — and it holds for BOTH kernels (the 4-ary heap and the timer
-// wheel), so every test below is parameterized over KernelKind.  This
-// binary overrides global operator new/delete with counting pass-throughs
-// and asserts exact deltas around the hot paths — if someone reintroduces a
-// std::function (16-byte inline capacity on libstdc++) or an allocating
-// container on the event path, these tests fail with a nonzero delta.
+// timer wheel's buckets are warm, for any capture within EventFn's inline
+// capacity.  This binary overrides global operator new/delete with counting
+// pass-throughs and asserts exact deltas around the hot paths — if someone
+// reintroduces a std::function (16-byte inline capacity on libstdc++) or an
+// allocating container on the event path, these tests fail with a nonzero
+// delta.
 //
 // Warming is rehearse-then-measure: the workload runs once to grow the
-// slab, free list, heap, and wheel buckets it needs, then runs again and
-// the second pass must allocate nothing.  Between passes the simulator is
+// slab, free list and wheel buckets it needs, then runs again and the
+// second pass must allocate nothing.  Between passes the simulator is
 // advanced to the next multiple of the wheel's level-3 granularity (64^3
 // usec): bucket placement depends only on event times modulo that phase
 // while relative offsets stay below it, so both passes of a now()-relative
@@ -28,7 +27,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
-#include <string>
 #include <utility>
 
 #include "core/scheduling_state.h"
@@ -87,7 +85,7 @@ void align(Simulator& sim) {
 template <typename Workload>
 std::uint64_t measured_allocations(Simulator& sim, Workload&& workload) {
   align(sim);
-  workload();  // rehearsal: grows slab, free list, heap, buckets, due batch
+  workload();  // rehearsal: grows slab, free list, buckets, due batch
   sim.run_all();
   align(sim);
   const std::uint64_t before = allocation_count();
@@ -96,17 +94,8 @@ std::uint64_t measured_allocations(Simulator& sim, Workload&& workload) {
   return allocation_count() - before;
 }
 
-class SimAllocTest : public ::testing::TestWithParam<KernelKind> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    Kernels, SimAllocTest,
-    ::testing::Values(KernelKind::kHeap, KernelKind::kWheel),
-    [](const ::testing::TestParamInfo<KernelKind>& info) {
-      return std::string(info.param == KernelKind::kHeap ? "heap" : "wheel");
-    });
-
-TEST_P(SimAllocTest, InlineCaptureScheduleAndDispatchAllocationFree) {
-  Simulator sim(GetParam());
+TEST(SimAllocTest, InlineCaptureScheduleAndDispatchAllocationFree) {
+  Simulator sim;
   std::uint64_t sink = 0;
   struct Payload {
     std::uint64_t a, b, c;
@@ -122,8 +111,8 @@ TEST_P(SimAllocTest, InlineCaptureScheduleAndDispatchAllocationFree) {
   EXPECT_EQ(sink, 2u * 2048u * 4u);  // both passes dispatched everything
 }
 
-TEST_P(SimAllocTest, CapacityEdgeCaptureStaysInline) {
-  Simulator sim(GetParam());
+TEST(SimAllocTest, CapacityEdgeCaptureStaysInline) {
+  Simulator sim;
   std::uint64_t sink = 0;
   // Exactly EventFn::kCapacity bytes of capture.
   struct Edge {
@@ -141,8 +130,8 @@ TEST_P(SimAllocTest, CapacityEdgeCaptureStaysInline) {
   EXPECT_EQ(sink, 2u * 128u);
 }
 
-TEST_P(SimAllocTest, OversizedCaptureFallsBackToOneHeapAllocation) {
-  Simulator sim(GetParam());
+TEST(SimAllocTest, OversizedCaptureFallsBackToOneHeapAllocation) {
+  Simulator sim;
   std::uint64_t sink = 0;
   struct Oversized {
     std::uint64_t* sink;
@@ -156,8 +145,8 @@ TEST_P(SimAllocTest, OversizedCaptureFallsBackToOneHeapAllocation) {
   EXPECT_EQ(sink, 2u);
 }
 
-TEST_P(SimAllocTest, CancelAndLazyDrainAllocationFree) {
-  Simulator sim(GetParam());
+TEST(SimAllocTest, CancelAndLazyDrainAllocationFree) {
+  Simulator sim;
   std::uint64_t sink = 0;
   std::array<EventHandle, 1024> handles;
   std::size_t cancelled = 0;
@@ -179,8 +168,8 @@ TEST_P(SimAllocTest, CancelAndLazyDrainAllocationFree) {
   EXPECT_EQ(sink, 0u);
 }
 
-TEST_P(SimAllocTest, RescheduleChurnAllocationFree) {
-  Simulator sim(GetParam());
+TEST(SimAllocTest, RescheduleChurnAllocationFree) {
+  Simulator sim;
   std::uint64_t sink = 0;
   int rescheduled = 0;
 
@@ -199,13 +188,13 @@ TEST_P(SimAllocTest, RescheduleChurnAllocationFree) {
   EXPECT_EQ(sink, 2u);
 }
 
-TEST_P(SimAllocTest, ProcessorCompletionPathAllocationFree) {
-  Simulator sim(GetParam());
+TEST(SimAllocTest, ProcessorCompletionPathAllocationFree) {
+  Simulator sim;
   Processor cpu(sim, ProcessorId(0));
   std::uint64_t sink = 0;
 
   // The same preempt/resume wave pattern both passes, so the ready deque,
-  // slab, and ordering structure reach their steady-state footprints in
+  // slab, and wheel buckets reach their steady-state footprints in
   // the rehearsal.
   const std::uint64_t allocs = measured_allocations(sim, [&] {
     const std::int64_t start = sim.now().usec();
@@ -236,9 +225,7 @@ namespace {
 // once the slabs, id tables and arena spill are warm
 // (core/scheduling_state.h).  Same rehearse-then-measure discipline — the
 // first churn pass grows every structure to its steady-state footprint,
-// the second must not touch the heap.  This binary registers under both
-// sim kernels (CMake's .heap_kernel suffix), so the contract is pinned in
-// both configurations even though the book itself is kernel-independent.
+// the second must not touch the heap.
 TEST(AdmissionAllocTest, AdmitExpireResetChurnAllocationFree) {
   SchedulingState state;
 

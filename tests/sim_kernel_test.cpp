@@ -1,22 +1,29 @@
-// Cross-kernel equivalence suite: the timer wheel against the 4-ary heap.
+// Dispatch-order suite: the timer-wheel Simulator against a reference queue.
 //
-// The heap kernel is the deterministic reference oracle; the wheel must be
-// indistinguishable from it through the public Simulator API.  These tests
-// drive both kernels through identical randomized schedule / cancel /
-// reschedule / run churn — including same-instant ties, events scheduled
-// from inside callbacks, and horizons beyond the wheel's 64^6-usec span
-// (the overflow heap) — and require byte-identical dispatch sequences,
-// identical now() trajectories, and byte-identical full-middleware traces.
+// ReferenceQueue below is a deliberately naive event queue — a std::set
+// ordered on (time, seq) — written against the Simulator's documented
+// contract and sharing no code with src/sim/.  These tests drive both
+// through identical randomized schedule / cancel / reschedule / run churn —
+// including same-instant ties, events scheduled from inside callbacks, and
+// horizons far past 64^6 usec (the wheel's levels 6 and up) — and require
+// identical dispatch sequences, cancel/reschedule results and now()
+// trajectories.  A full-middleware run's rendered trace is pinned by
+// digest, so any change to dispatch order fails here too.
 //
 // Also here: the dead-entry regression tests.  cancel()/reschedule() used
 // to leave dead entries queued until they surfaced at the front, so a
-// reschedule storm against a far-future event grew queue memory and sift
-// depth with *total* churn; both kernels now compact once dead entries
-// outnumber live ones, and these tests pin the O(live) bound.
+// reschedule storm against a far-future event grew queue memory with
+// *total* churn; the wheel now compacts once dead entries outnumber live
+// ones, and these tests pin the O(live) bound.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <limits>
+#include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -31,11 +38,116 @@
 namespace rtcm::sim {
 namespace {
 
-constexpr std::int64_t kWheelSpanUsec = 64LL * 64 * 64 * 64 * 64 * 64;
+/// 64^6 usec (~19 simulated hours): events further out than this from now
+/// are filed on the wheel's levels 6 and up.
+constexpr std::int64_t kFarUsec = 64LL * 64 * 64 * 64 * 64 * 64;
+
+/// The Simulator's ordering contract, implemented the obvious way: events
+/// dispatch in (time, seq) order, seq is consumed once per schedule and
+/// once per successful reschedule, a dispatching event is no longer
+/// pending when its callback runs, and run_until leaves now() at the later
+/// of the last dispatch and the deadline.
+class ReferenceQueue {
+ public:
+  using Handle = std::size_t;
+
+  [[nodiscard]] std::int64_t now() const { return now_; }
+  [[nodiscard]] std::uint64_t executed() const { return executed_; }
+  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
+
+  Handle schedule_at(std::int64_t at, std::function<void()> fn) {
+    events_.push_back({at, next_seq_++, std::move(fn), true});
+    queue_.insert({at, events_.back().seq, events_.size() - 1});
+    return events_.size() - 1;
+  }
+  bool cancel(Handle h) {
+    Event& e = events_[h];
+    if (!e.pending) return false;
+    queue_.erase({e.at, e.seq, h});
+    e.pending = false;
+    return true;
+  }
+  bool reschedule(Handle h, std::int64_t at) {
+    Event& e = events_[h];
+    if (!e.pending) return false;
+    queue_.erase({e.at, e.seq, h});
+    e.at = at;
+    e.seq = next_seq_++;
+    queue_.insert({e.at, e.seq, h});
+    return true;
+  }
+  bool step() {
+    if (queue_.empty()) return false;
+    const Key front = *queue_.begin();
+    queue_.erase(queue_.begin());
+    Event& e = events_[front.id];
+    e.pending = false;
+    now_ = front.at;
+    ++executed_;
+    std::function<void()> fn = std::move(e.fn);
+    fn();
+    return true;
+  }
+  void run_until(std::int64_t deadline) {
+    while (!queue_.empty() && queue_.begin()->at <= deadline) step();
+    now_ = std::max(now_, deadline);
+  }
+  void run_all() {
+    while (step()) {
+    }
+  }
+
+ private:
+  struct Key {
+    std::int64_t at;
+    std::uint64_t seq;
+    std::size_t id;
+    bool operator<(const Key& o) const {
+      return at != o.at ? at < o.at : seq < o.seq;
+    }
+  };
+  struct Event {
+    std::int64_t at;
+    std::uint64_t seq;
+    std::function<void()> fn;
+    bool pending;
+  };
+  std::int64_t now_ = 0;
+  std::uint64_t next_seq_ = 1;
+  std::uint64_t executed_ = 0;
+  std::vector<Event> events_;  // indexed by handle; never recycled
+  std::set<Key> queue_;
+};
+
+/// The Simulator behind ReferenceQueue's interface, so one replay routine
+/// drives both.
+class WheelQueue {
+ public:
+  using Handle = EventHandle;
+
+  [[nodiscard]] std::int64_t now() const { return sim_.now().usec(); }
+  [[nodiscard]] std::uint64_t executed() const { return sim_.executed(); }
+  [[nodiscard]] std::size_t pending() const { return sim_.pending(); }
+
+  template <typename Fn>
+  Handle schedule_at(std::int64_t at, Fn fn) {
+    return sim_.schedule_at(Time(at), std::move(fn));
+  }
+  bool cancel(Handle h) { return sim_.cancel(h); }
+  bool reschedule(Handle& h, std::int64_t at) {
+    return sim_.reschedule(h, Time(at));
+  }
+  bool step() { return sim_.step(); }
+  void run_until(std::int64_t deadline) { sim_.run_until(Time(deadline)); }
+  void run_all() { sim_.run_all(); }
+
+ private:
+  Simulator sim_;
+};
 
 /// One externally-applied operation of the churn script.  Scripts are
-/// generated once per seed and replayed verbatim against each kernel, so
-/// both simulators see exactly the same call sequence.
+/// generated once per seed and replayed verbatim against each queue, so
+/// both see exactly the same call sequence.
 struct Op {
   enum Kind { kSchedule, kCancel, kReschedule, kRunUntil, kStep } kind;
   std::int64_t a = 0;  // schedule/reschedule/run_until: time offset
@@ -52,10 +164,10 @@ std::vector<Op> make_script(std::uint64_t seed, int ops) {
   for (int i = 0; i < ops; ++i) {
     const std::int64_t roll = rng.uniform_int(0, 99);
     if (roll < 55 || handles == 0) {
-      // Offsets span every wheel level and (rarely) the overflow heap, and
+      // Offsets span the low wheel levels and (rarely) levels 6 and up, and
       // land on few enough distinct values to force same-time ties.
       static constexpr std::int64_t kSpans[] = {
-          63, 4095, 262143, 16777215, kWheelSpanUsec * 2};
+          63, 4095, 262143, 16777215, kFarUsec * 2};
       const auto span =
           kSpans[static_cast<std::size_t>(rng.uniform_int(0, 4)) %
                  (rng.uniform_int(0, 9) == 0 ? 5 : 4)];
@@ -81,224 +193,237 @@ std::vector<Op> make_script(std::uint64_t seed, int ops) {
   return script;
 }
 
-/// Replay a script and return the dispatch log: (time, id) per executed
-/// event, plus a now() sample after every run op.  Callbacks for ids
-/// divisible by 7 schedule a child event mid-dispatch, exercising the
-/// schedule-at-current-instant path.
-std::vector<std::pair<std::int64_t, std::uint64_t>> replay(
-    KernelKind kind, const std::vector<Op>& script) {
-  Simulator sim(kind);
-  std::vector<std::pair<std::int64_t, std::uint64_t>> log;
-  std::vector<EventHandle> handles;
+using Log = std::vector<std::pair<std::int64_t, std::uint64_t>>;
+
+/// Replay a script and return the log: (time, id) per executed event, the
+/// result of every cancel/reschedule, and a now() sample after every run
+/// op.  Callbacks for ids divisible by 7 schedule a child event
+/// mid-dispatch, exercising the schedule-at-current-instant path.
+template <typename Queue>
+Log replay(const std::vector<Op>& script) {
+  Queue queue;
+  Log log;
+  std::vector<typename Queue::Handle> handles;
   struct Recorder {
-    Simulator* sim;
-    std::vector<std::pair<std::int64_t, std::uint64_t>>* log;
+    Queue* queue;
+    Log* log;
     std::uint64_t id;
     void operator()() const {
-      log->emplace_back(sim->now().usec(), id);
+      log->emplace_back(queue->now(), id);
       if (id % 7 == 0) {
-        sim->schedule_at(sim->now() + Duration(id % 977),
-                         Recorder{sim, log, id + 1000000});
+        queue->schedule_at(
+            queue->now() + static_cast<std::int64_t>(id % 977),
+            Recorder{queue, log, id + 1000000});
       }
     }
   };
   for (const Op& op : script) {
     switch (op.kind) {
       case Op::kSchedule:
-        handles.push_back(sim.schedule_at(sim.now() + Duration(op.a),
-                                          Recorder{&sim, &log, op.id}));
+        handles.push_back(queue.schedule_at(queue.now() + op.a,
+                                            Recorder{&queue, &log, op.id}));
         break;
       case Op::kCancel:
-        sim.cancel(handles[op.target]);
+        log.emplace_back(-1, queue.cancel(handles[op.target]) ? 1 : 0);
         break;
-      case Op::kReschedule:
-        sim.reschedule(handles[op.target], sim.now() + Duration(op.a));
+      case Op::kReschedule: {
+        const bool moved =
+            queue.reschedule(handles[op.target], queue.now() + op.a);
+        log.emplace_back(-2, moved ? 1 : 0);
         break;
+      }
       case Op::kRunUntil:
-        sim.run_until(sim.now() + Duration(op.a));
-        log.emplace_back(sim.now().usec(), 0);  // pin the now() trajectory
+        queue.run_until(queue.now() + op.a);
+        log.emplace_back(queue.now(), 0);  // pin the now() trajectory
         break;
       case Op::kStep:
         for (std::int64_t n = 0; n < op.a; ++n) {
-          if (!sim.step()) break;
+          if (!queue.step()) break;
         }
         break;
     }
   }
-  sim.run_all();
-  log.emplace_back(sim.now().usec(),
-                   sim.executed());  // totals must agree too
-  EXPECT_EQ(sim.pending(), 0u);
+  queue.run_all();
+  log.emplace_back(queue.now(), queue.executed());  // totals must agree too
+  EXPECT_EQ(queue.pending(), 0u);
   return log;
 }
 
 TEST(CrossKernelOracleTest, RandomChurnDispatchesByteIdentically) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const std::vector<Op> script = make_script(seed, 600);
-    const auto heap_log = replay(KernelKind::kHeap, script);
-    const auto wheel_log = replay(KernelKind::kWheel, script);
-    ASSERT_EQ(heap_log, wheel_log) << "seed " << seed;
-    ASSERT_GT(heap_log.size(), 100u) << "seed " << seed;
+    const Log reference = replay<ReferenceQueue>(script);
+    const Log wheel = replay<WheelQueue>(script);
+    ASSERT_EQ(reference, wheel) << "seed " << seed;
+    ASSERT_GT(reference.size(), 100u) << "seed " << seed;
   }
 }
 
 TEST(CrossKernelOracleTest, OverflowHorizonChurnMatches) {
-  // Concentrate on the overflow heap and multi-span jumps: every event is
-  // beyond the wheel's span when scheduled.
+  // Concentrate on the wheel's upper levels and multi-level jumps: every
+  // event starts at least 64^6 usec out, a few reach 2^62 usec (levels 7 to
+  // 10), and two sit on the largest representable instants (level 10).
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
   for (std::uint64_t seed = 100; seed < 104; ++seed) {
     Rng rng(seed);
-    std::vector<Op> script;
-    std::uint64_t id = 1;
+    // Ids 1 and 2 schedule no child (only multiples of 7 do), so nothing
+    // is placed past kMax.
+    std::vector<Op> script = {{Op::kSchedule, kMax, 0, 1},
+                              {Op::kSchedule, kMax - 1, 0, 2}};
+    std::uint64_t id = 3;
     for (int i = 0; i < 64; ++i) {
       script.push_back({Op::kSchedule,
-                        kWheelSpanUsec + rng.uniform_int(0, kWheelSpanUsec * 3),
+                        kFarUsec + rng.uniform_int(0, kFarUsec * 3), 0,
+                        id++});
+    }
+    for (int i = 0; i < 8; ++i) {
+      script.push_back({Op::kSchedule,
+                        rng.uniform_int(kFarUsec * 64, std::int64_t{1} << 62),
                         0, id++});
     }
-    script.push_back({Op::kRunUntil, kWheelSpanUsec * 2});
+    script.push_back({Op::kRunUntil, kFarUsec * 2});
     for (int i = 0; i < 64; ++i) {
-      script.push_back({Op::kSchedule, rng.uniform_int(0, kWheelSpanUsec * 2),
-                        0, id++});
+      script.push_back({Op::kSchedule, rng.uniform_int(0, kFarUsec * 2), 0,
+                        id++});
       script.push_back(
-          {Op::kReschedule, rng.uniform_int(0, kWheelSpanUsec * 2),
-           static_cast<std::size_t>(rng.uniform_int(0, 63))});
+          {Op::kReschedule, rng.uniform_int(0, kFarUsec * 2),
+           static_cast<std::size_t>(rng.uniform_int(0, 73))});
     }
-    const auto heap_log = replay(KernelKind::kHeap, script);
-    const auto wheel_log = replay(KernelKind::kWheel, script);
-    ASSERT_EQ(heap_log, wheel_log) << "seed " << seed;
+    const Log reference = replay<ReferenceQueue>(script);
+    const Log wheel = replay<WheelQueue>(script);
+    ASSERT_EQ(reference, wheel) << "seed " << seed;
   }
 }
 
 TEST(CrossKernelOracleTest, RunUntilLeavesIdenticalNowWithEmptyQueue) {
-  for (const KernelKind kind : {KernelKind::kHeap, KernelKind::kWheel}) {
-    Simulator sim(kind);
-    int fired = 0;
-    sim.schedule_at(Time(50), [&] { ++fired; });
-    sim.run_until(Time(49));
-    EXPECT_EQ(sim.now(), Time(49));
-    EXPECT_EQ(fired, 0);
-    sim.run_until(Time(50));  // deadline-inclusive dispatch
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(sim.now(), Time(50));
-    sim.run_until(Time(123456789));  // idle horizon advance, multi-level
-    EXPECT_EQ(sim.now(), Time(123456789));
-    // Scheduling relative to the advanced instant must still dispatch in
-    // order — the wheel's digit path has to be consistent after the jump.
-    std::vector<int> order;
-    sim.schedule_at(sim.now() + Duration(3), [&] { order.push_back(3); });
-    sim.schedule_at(sim.now() + Duration(1), [&] { order.push_back(1); });
-    sim.schedule_at(sim.now() + Duration(2), [&] { order.push_back(2); });
-    sim.run_all();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  }
+  Simulator sim;
+  int fired = 0;
+  sim.schedule_at(Time(50), [&] { ++fired; });
+  sim.run_until(Time(49));
+  EXPECT_EQ(sim.now(), Time(49));
+  EXPECT_EQ(fired, 0);
+  sim.run_until(Time(50));  // deadline-inclusive dispatch
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.now(), Time(50));
+  sim.run_until(Time(123456789));  // idle horizon advance, multi-level
+  EXPECT_EQ(sim.now(), Time(123456789));
+  // Scheduling relative to the advanced instant must still dispatch in
+  // order — the wheel's digit path has to be consistent after the jump.
+  std::vector<int> order;
+  sim.schedule_at(sim.now() + Duration(3), [&] { order.push_back(3); });
+  sim.schedule_at(sim.now() + Duration(1), [&] { order.push_back(1); });
+  sim.schedule_at(sim.now() + Duration(2), [&] { order.push_back(2); });
+  sim.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-// --- full-middleware byte-identity ------------------------------------------
+// --- full-middleware dispatch-order pin --------------------------------------
 
-TEST(CrossKernelOracleTest, EndToEndRenderedTraceBytesMatchHeapOracle) {
-  auto run_once = [](KernelKind kind) {
-    Rng rng(31);
-    auto tasks =
-        workload::generate_workload(workload::random_workload_shape(), rng);
-    core::SystemConfig config;
-    config.strategies = core::StrategyCombination::parse("J_J_J").value();
-    config.comm_jitter = Duration::microseconds(200);
-    config.comm_jitter_seed = 9;
-    config.lb_policy = "random";
-    config.lb_seed = 4;
-    config.enable_trace = true;
-    config.kernel = kind;
-    core::SystemRuntime runtime(config, std::move(tasks));
-    EXPECT_TRUE(runtime.assemble().is_ok());
-    Rng arrival_rng = rng.fork(1);
-    const Time horizon(Duration::seconds(8).usec());
-    RTCM_EXPECT_OK(runtime.inject_arrivals(
-        workload::generate_arrivals(runtime.tasks(), horizon, arrival_rng)));
-    runtime.run_until(horizon + Duration::seconds(11));
-    return runtime.trace().render();
-  };
-  const std::string heap_trace = run_once(KernelKind::kHeap);
-  const std::string wheel_trace = run_once(KernelKind::kWheel);
-  EXPECT_GT(heap_trace.size(), 0u);
-  EXPECT_EQ(heap_trace, wheel_trace);
+/// FNV-1a, 64-bit: a dependency-free digest for pinning rendered output.
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(CrossKernelOracleTest, EndToEndRenderedTraceMatchesPinnedDigest) {
+  Rng rng(31);
+  auto tasks =
+      workload::generate_workload(workload::random_workload_shape(), rng);
+  core::SystemConfig config;
+  config.strategies = core::StrategyCombination::parse("J_J_J").value();
+  config.comm_jitter = Duration::microseconds(200);
+  config.comm_jitter_seed = 9;
+  config.lb_policy = "random";
+  config.lb_seed = 4;
+  config.enable_trace = true;
+  core::SystemRuntime runtime(config, std::move(tasks));
+  ASSERT_TRUE(runtime.assemble().is_ok());
+  Rng arrival_rng = rng.fork(1);
+  const Time horizon(Duration::seconds(8).usec());
+  RTCM_EXPECT_OK(runtime.inject_arrivals(
+      workload::generate_arrivals(runtime.tasks(), horizon, arrival_rng)));
+  runtime.run_until(horizon + Duration::seconds(11));
+  const std::string trace = runtime.trace().render();
+  // Captured when a 4-ary heap kernel and this wheel still ran side by side
+  // and rendered this trace byte-identically.  A change here means the
+  // middleware's event dispatch order changed.
+  EXPECT_EQ(trace.size(), 7355u);
+  EXPECT_EQ(fnv1a(trace), 0x1fd9d2346796dcbaULL);
 }
 
 // --- dead-entry compaction regression ----------------------------------------
 
 TEST(CompactionRegressionTest, RescheduleStormKeepsQueueMemoryBounded) {
-  // The original heap kernel kept every dead entry until it surfaced at the
-  // front: 10^6 reschedules of one far-future event stored ~10^6 entries.
-  // With compaction, stored entries stay O(live) — here live is 1, so the
-  // queue may never hold more than the sweep threshold plus one storm's
-  // worth of dead entries between sweeps.
-  for (const KernelKind kind : {KernelKind::kHeap, KernelKind::kWheel}) {
-    Simulator sim(kind);
-    int fired = 0;
-    EventHandle h =
-        sim.schedule_at(sim.now() + Duration(1 << 30), [&] { ++fired; });
-    std::size_t max_entries = 0;
-    for (int i = 0; i < 1000000; ++i) {
-      ASSERT_TRUE(sim.reschedule(h, sim.now() + Duration((1 << 30) + i)));
-      max_entries = std::max(max_entries, sim.queue_entries());
-    }
-    EXPECT_LE(max_entries, 1024u);  // vs ~10^6 without compaction
-    EXPECT_EQ(sim.pending(), 1u);
-    sim.run_all();
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(sim.queue_entries(), 0u);
+  // Without compaction every dead entry stayed queued until it surfaced:
+  // 10^6 reschedules of one far-future event stored ~10^6 entries.  With
+  // it, stored entries stay O(live) — here live is 1, so the queue may
+  // never hold more than the sweep threshold plus one storm's worth of dead
+  // entries between sweeps.
+  Simulator sim;
+  int fired = 0;
+  EventHandle h =
+      sim.schedule_at(sim.now() + Duration(1 << 30), [&] { ++fired; });
+  std::size_t max_entries = 0;
+  for (int i = 0; i < 1000000; ++i) {
+    ASSERT_TRUE(sim.reschedule(h, sim.now() + Duration((1 << 30) + i)));
+    max_entries = std::max(max_entries, sim.queue_entries());
   }
+  EXPECT_LE(max_entries, 1024u);  // vs ~10^6 without compaction
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run_all();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.queue_entries(), 0u);
 }
 
 TEST(CompactionRegressionTest, CancelStormKeepsQueueMemoryBounded) {
-  for (const KernelKind kind : {KernelKind::kHeap, KernelKind::kWheel}) {
-    Simulator sim(kind);
-    std::size_t max_entries = 0;
-    for (int round = 0; round < 64; ++round) {
-      std::vector<EventHandle> handles;
-      for (int i = 0; i < 1024; ++i) {
-        handles.push_back(
-            sim.schedule_at(sim.now() + Duration(1 + i), [] {}));
-      }
-      for (EventHandle& h : handles) EXPECT_TRUE(sim.cancel(h));
-      max_entries = std::max(max_entries, sim.queue_entries());
+  Simulator sim;
+  std::size_t max_entries = 0;
+  for (int round = 0; round < 64; ++round) {
+    std::vector<EventHandle> handles;
+    for (int i = 0; i < 1024; ++i) {
+      handles.push_back(sim.schedule_at(sim.now() + Duration(1 + i), [] {}));
     }
-    // 64 rounds x 1024 cancels must not accumulate: the bound is one
-    // round's storm plus the sweep threshold, not 65536.
-    EXPECT_LE(max_entries, 4096u);
-    EXPECT_EQ(sim.pending(), 0u);
-    sim.run_all();
-    EXPECT_EQ(sim.queue_entries(), 0u);
+    for (EventHandle& h : handles) EXPECT_TRUE(sim.cancel(h));
+    max_entries = std::max(max_entries, sim.queue_entries());
   }
+  // 64 rounds x 1024 cancels must not accumulate: the bound is one round's
+  // storm plus the sweep threshold, not 65536.
+  EXPECT_LE(max_entries, 4096u);
+  EXPECT_EQ(sim.pending(), 0u);
+  sim.run_all();
+  EXPECT_EQ(sim.queue_entries(), 0u);
 }
 
 // The compacted front must still dispatch in exact (time, seq) order: churn
 // a mix of survivors and cancelled events past the sweep threshold, then
 // check the survivors fire in schedule order.
 TEST(CompactionRegressionTest, CompactionPreservesDispatchOrder) {
-  for (const KernelKind kind : {KernelKind::kHeap, KernelKind::kWheel}) {
-    Simulator sim(kind);
-    std::vector<std::uint64_t> fired;
-    std::vector<EventHandle> doomed;
-    for (std::uint64_t i = 0; i < 2000; ++i) {
-      const Time at = sim.now() + Duration(static_cast<std::int64_t>(
-                                       1000 + (i * 37) % 5000));
-      if (i % 3 == 0) {
-        sim.schedule_at(at, [&fired, i] { fired.push_back(i); });
-      } else {
-        doomed.push_back(sim.schedule_at(at, [] { ADD_FAILURE(); }));
-      }
+  Simulator sim;
+  std::vector<std::uint64_t> fired;
+  std::vector<EventHandle> doomed;
+  for (std::uint64_t i = 0; i < 2000; ++i) {
+    const Time at = sim.now() + Duration(static_cast<std::int64_t>(
+                                    1000 + (i * 37) % 5000));
+    if (i % 3 == 0) {
+      sim.schedule_at(at, [&fired, i] { fired.push_back(i); });
+    } else {
+      doomed.push_back(sim.schedule_at(at, [] { ADD_FAILURE(); }));
     }
-    for (EventHandle& h : doomed) EXPECT_TRUE(sim.cancel(h));
-    sim.run_all();
-    EXPECT_EQ(fired.size(), 667u);
-    // Same (time, seq) comparator the kernels use: time ascending, then
-    // insertion order.
-    EXPECT_TRUE(std::is_sorted(
-        fired.begin(), fired.end(), [](std::uint64_t a, std::uint64_t b) {
-          const auto ta = 1000 + (a * 37) % 5000;
-          const auto tb = 1000 + (b * 37) % 5000;
-          return ta != tb ? ta < tb : a < b;
-        }));
   }
+  for (EventHandle& h : doomed) EXPECT_TRUE(sim.cancel(h));
+  sim.run_all();
+  EXPECT_EQ(fired.size(), 667u);
+  // The (time, seq) contract: time ascending, then insertion order.
+  EXPECT_TRUE(std::is_sorted(
+      fired.begin(), fired.end(), [](std::uint64_t a, std::uint64_t b) {
+        const auto ta = 1000 + (a * 37) % 5000;
+        const auto tb = 1000 + (b * 37) % 5000;
+        return ta != tb ? ta < tb : a < b;
+      }));
 }
 
 }  // namespace
