@@ -25,7 +25,9 @@ a flaky nightly diff.  Rules:
                         iteration over addresses is allocation-order
                         dependent, i.e. nondeterministic across runs.
   sim-path-alloc        std::function or raw `new` in simulation event-path
-                        code (any file under a sim/ directory).  Event
+                        code: any file under a sim/ directory (the event
+                        kernel) or an events/ directory (the event
+                        channel, which runs once per pushed event).  Event
                         paths must use InlineFunction and slab/arena
                         storage: zero per-event heap allocations is an
                         enforced contract (tests/sim_alloc_test.cpp).
@@ -189,8 +191,11 @@ def collect_unordered_names(code: str) -> set[str]:
     return names
 
 
+SIM_PATH_DIRS = ("sim", "events")
+
+
 def on_sim_path(path: Path) -> bool:
-    return "sim" in path.parts
+    return any(part in SIM_PATH_DIRS for part in path.parts)
 
 
 def lint_text(

@@ -66,18 +66,12 @@ Status SubtaskComponentBase::on_activate() {
   if (!task_.valid()) {
     return Status::error("subtask component activated before configuration");
   }
-  const TaskId task = task_;
-  const std::size_t stage = stage_;
-  const ProcessorId me = context().processor;
+  // Triggers are addressed to placement[stage], so this instance receives
+  // exactly the triggers that place its stage on its processor.
   context().local_channel().subscribe(
-      {EventType::kTrigger},
+      events::RouteKey::trigger(task_, stage_),
       [this](const events::Event& e) {
         handle_trigger(events::payload_as<TriggerPayload>(e));
-      },
-      [task, stage, me](const events::Event& e) {
-        const auto& p = events::payload_as<TriggerPayload>(e);
-        return p.task == task && p.stage == stage &&
-               stage < p.placement.size() && p.placement[stage] == me;
       });
   return Status::ok();
 }

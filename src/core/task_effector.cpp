@@ -35,26 +35,18 @@ Status TaskEffector::on_configure(const ccm::AttributeMap& attributes) {
 }
 
 Status TaskEffector::on_activate() {
-  const ProcessorId me = context().processor;
+  // The federated channel addresses Accepts to the arrival processor and
+  // to placement.front(), and Rejects to the arrival processor, so every
+  // one reaching this channel is for this TE.
   auto& channel = context().local_channel();
-  channel.subscribe(
-      {EventType::kAccept},
-      [this](const events::Event& e) {
-        handle_accept(events::payload_as<AcceptPayload>(e));
-      },
-      [me](const events::Event& e) {
-        const auto& p = events::payload_as<AcceptPayload>(e);
-        return p.arrival_processor == me ||
-               (!p.placement.empty() && p.placement.front() == me);
-      });
-  channel.subscribe(
-      {EventType::kReject},
-      [this](const events::Event& e) {
-        handle_reject(events::payload_as<RejectPayload>(e));
-      },
-      [me](const events::Event& e) {
-        return events::payload_as<RejectPayload>(e).arrival_processor == me;
-      });
+  channel.subscribe(events::RouteKey::of(EventType::kAccept),
+                    [this](const events::Event& e) {
+                      handle_accept(events::payload_as<AcceptPayload>(e));
+                    });
+  channel.subscribe(events::RouteKey::of(EventType::kReject),
+                    [this](const events::Event& e) {
+                      handle_reject(events::payload_as<RejectPayload>(e));
+                    });
   return Status::ok();
 }
 

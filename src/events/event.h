@@ -3,8 +3,8 @@
 // The service components talk to each other by pushing events through the
 // federated event channel: "Task Arrive" (TE -> AC), "Accept" / "Reject"
 // (AC -> TE), "Trigger" (F/I Subtask -> next Subtask) and "Idle Resetting"
-// (IR -> AC).  Each event carries a typed payload; consumers subscribe by
-// payload type plus an optional predicate (the gateway-side filter).
+// (IR -> AC).  Each event carries a typed payload, and the payload names
+// where the event goes; consumers subscribe by address (local_channel.h).
 #pragma once
 
 #include <cstdint>

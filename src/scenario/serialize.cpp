@@ -6,6 +6,8 @@
 // point (the property scenario_test pins).  Parsing is strict about types
 // but tolerant of absent optional sections, so hand-written specs stay
 // short.
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,6 +17,59 @@
 namespace rtcm::scenario {
 
 namespace {
+
+/// `v` as an integer, or `def` when it is not a number.  A JSON number is a
+/// double, and one outside [lo, hi] (or not finite) is refused by field
+/// name: casting it would be undefined, or wrap a 32-bit id.
+Result<std::int64_t> int_from_json(
+    const json::Value& v, const std::string& field, std::int64_t def = 0,
+    std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
+    std::int64_t hi = std::numeric_limits<std::int64_t>::max()) {
+  if (!v.is_number()) return def;
+  const std::int64_t out = v.as_int();
+  if (!v.is_int64() || out < lo || out > hi) {
+    return Result<std::int64_t>::error(field + " is out of range (" +
+                                       json::number_to_string(v.as_double()) +
+                                       ")");
+  }
+  return out;
+}
+
+/// The integer fields of one JSON object, read through int_from_json.  The
+/// first refusal is kept and later reads return their defaults, so a parser
+/// checks ok() once after its reads.
+class IntFields {
+ public:
+  IntFields(const json::Value& object, std::string prefix)
+      : object_(object), prefix_(std::move(prefix)) {}
+
+  std::int64_t get(const char* key, std::int64_t def = 0) {
+    return read(key, def, std::numeric_limits<std::int64_t>::min(),
+                std::numeric_limits<std::int64_t>::max());
+  }
+  /// A processor or task id, which must fit its int32.
+  std::int32_t id(const char* key) {
+    return static_cast<std::int32_t>(
+        read(key, 0, std::numeric_limits<std::int32_t>::min(),
+             std::numeric_limits<std::int32_t>::max()));
+  }
+
+  [[nodiscard]] bool ok() const { return error_.empty(); }
+  [[nodiscard]] const std::string& error() const { return error_; }
+
+ private:
+  std::int64_t read(const char* key, std::int64_t def, std::int64_t lo,
+                    std::int64_t hi) {
+    const auto r = int_from_json(object_.get(key), prefix_ + key, def, lo, hi);
+    if (r.is_ok()) return r.value();
+    if (error_.empty()) error_ = r.message();
+    return def;
+  }
+
+  const json::Value& object_;
+  std::string prefix_;
+  std::string error_;
+};
 
 json::Value ids_to_json(const std::vector<ProcessorId>& ids) {
   json::Value out = json::Value::array();
@@ -31,7 +86,12 @@ Result<std::vector<ProcessorId>> ids_from_json(const json::Value& v,
     if (!v.at(i).is_number()) {
       return R::error(std::string(field) + ": expected processor ids");
     }
-    out.push_back(ProcessorId(static_cast<std::int32_t>(v.at(i).as_int())));
+    const auto id = int_from_json(
+        v.at(i), std::string(field) + "[" + std::to_string(i) + "]", 0,
+        std::numeric_limits<std::int32_t>::min(),
+        std::numeric_limits<std::int32_t>::max());
+    if (!id.is_ok()) return R::error(id.message());
+    out.push_back(ProcessorId(static_cast<std::int32_t>(id.value())));
   }
   return out;
 }
@@ -40,7 +100,9 @@ Result<std::vector<ProcessorId>> ids_from_json(const json::Value& v,
 /// of wrapping to a huge value that validate() would misreport as past 2^53.
 Result<std::uint64_t> seed_from_json(const json::Value& parent,
                                      const char* key, const char* field) {
-  const std::int64_t seed = parent.get(key).as_int(1);
+  const auto read = int_from_json(parent.get(key), field, 1);
+  if (!read.is_ok()) return Result<std::uint64_t>::error(read.message());
+  const std::int64_t seed = read.value();
   if (seed < 0) {
     return Result<std::uint64_t>::error(std::string(field) +
                                         " is negative (" +
@@ -78,14 +140,15 @@ Result<core::SystemConfig> config_from_json(const json::Value& v) {
       core::StrategyCombination::parse(v.get("strategies").as_string());
   if (!combo.is_ok()) return R::error("config.strategies: " + combo.message());
   config.strategies = combo.value();
+  IntFields ints(v, "config.");
   config.comm_latency =
-      Duration(v.get("comm_latency_us").as_int(config.comm_latency.usec()));
-  config.comm_jitter = Duration(v.get("comm_jitter_us").as_int());
+      Duration(ints.get("comm_latency_us", config.comm_latency.usec()));
+  config.comm_jitter = Duration(ints.get("comm_jitter_us"));
   const auto jitter_seed =
       seed_from_json(v, "comm_jitter_seed", "config.comm_jitter_seed");
   if (!jitter_seed.is_ok()) return R::error(jitter_seed.message());
   config.comm_jitter_seed = jitter_seed.value();
-  config.loopback_latency = Duration(v.get("loopback_latency_us").as_int());
+  config.loopback_latency = Duration(ints.get("loopback_latency_us"));
   if (v.get("lb_policy").is_string()) {
     config.lb_policy = v.get("lb_policy").as_string();
   }
@@ -94,8 +157,7 @@ Result<core::SystemConfig> config_from_json(const json::Value& v) {
   config.lb_seed = lb_seed.value();
   config.enable_trace = v.get("enable_trace").as_bool();
   if (v.get("task_manager").is_number()) {
-    config.task_manager =
-        ProcessorId(static_cast<std::int32_t>(v.get("task_manager").as_int()));
+    config.task_manager = ProcessorId(ints.id("task_manager"));
   }
   const std::string& analysis = v.get("analysis").as_string();
   if (analysis == "DS") {
@@ -107,11 +169,11 @@ Result<core::SystemConfig> config_from_json(const json::Value& v) {
                     "'");
   }
   config.ds_server.budget =
-      Duration(v.get("ds_budget_us").as_int(config.ds_server.budget.usec()));
+      Duration(ints.get("ds_budget_us", config.ds_server.budget.usec()));
   config.ds_server.period =
-      Duration(v.get("ds_period_us").as_int(config.ds_server.period.usec()));
-  config.ds_server.hop_overhead =
-      Duration(v.get("ds_hop_overhead_us").as_int());
+      Duration(ints.get("ds_period_us", config.ds_server.period.usec()));
+  config.ds_server.hop_overhead = Duration(ints.get("ds_hop_overhead_us"));
+  if (!ints.ok()) return R::error(ints.error());
   return config;
 }
 
@@ -145,18 +207,18 @@ Result<workload::WorkloadShape> shape_from_json(const json::Value& v) {
       ids_from_json(v.get("replica_processors"), "replica_processors");
   if (!replicas.is_ok()) return R::error(replicas.message());
   shape.replica_processors = std::move(replicas).value();
+  IntFields ints(v, "workload.shape.");
   shape.periodic_tasks =
-      static_cast<std::size_t>(v.get("periodic_tasks").as_int(5));
+      static_cast<std::size_t>(ints.get("periodic_tasks", 5));
   shape.aperiodic_tasks =
-      static_cast<std::size_t>(v.get("aperiodic_tasks").as_int(4));
-  shape.min_subtasks =
-      static_cast<std::size_t>(v.get("min_subtasks").as_int(1));
-  shape.max_subtasks =
-      static_cast<std::size_t>(v.get("max_subtasks").as_int(5));
+      static_cast<std::size_t>(ints.get("aperiodic_tasks", 4));
+  shape.min_subtasks = static_cast<std::size_t>(ints.get("min_subtasks", 1));
+  shape.max_subtasks = static_cast<std::size_t>(ints.get("max_subtasks", 5));
   shape.min_deadline =
-      Duration(v.get("min_deadline_us").as_int(shape.min_deadline.usec()));
+      Duration(ints.get("min_deadline_us", shape.min_deadline.usec()));
   shape.max_deadline =
-      Duration(v.get("max_deadline_us").as_int(shape.max_deadline.usec()));
+      Duration(ints.get("max_deadline_us", shape.max_deadline.usec()));
+  if (!ints.ok()) return R::error(ints.error());
   shape.per_processor_utilization =
       v.get("per_processor_utilization").as_double(0.5);
   shape.replicate = v.get("replicate").as_bool(true);
@@ -189,7 +251,8 @@ Result<sched::TaskSpec> task_from_json(const json::Value& v) {
   using R = Result<sched::TaskSpec>;
   if (!v.is_object()) return R::error("task: expected object");
   sched::TaskSpec task;
-  task.id = TaskId(static_cast<std::int32_t>(v.get("id").as_int()));
+  IntFields ints(v, "task.");
+  task.id = TaskId(ints.id("id"));
   task.name = v.get("name").as_string();
   const std::string& kind = v.get("kind").as_string();
   if (kind == "periodic") {
@@ -200,17 +263,19 @@ Result<sched::TaskSpec> task_from_json(const json::Value& v) {
     return R::error("task.kind: expected periodic or aperiodic, got '" +
                     kind + "'");
   }
-  task.deadline = Duration(v.get("deadline_us").as_int());
-  task.period = Duration(v.get("period_us").as_int());
-  task.mean_interarrival = Duration(v.get("mean_interarrival_us").as_int());
+  task.deadline = Duration(ints.get("deadline_us"));
+  task.period = Duration(ints.get("period_us"));
+  task.mean_interarrival = Duration(ints.get("mean_interarrival_us"));
+  if (!ints.ok()) return R::error(ints.error());
   const json::Value& subtasks = v.get("subtasks");
   if (!subtasks.is_array()) return R::error("task.subtasks: expected array");
   for (std::size_t i = 0; i < subtasks.size(); ++i) {
     const json::Value& stage = subtasks.at(i);
     sched::SubtaskSpec st;
-    st.execution = Duration(stage.get("execution_us").as_int());
-    st.primary =
-        ProcessorId(static_cast<std::int32_t>(stage.get("primary").as_int()));
+    IntFields stage_ints(stage, "task.subtasks[" + std::to_string(i) + "].");
+    st.execution = Duration(stage_ints.get("execution_us"));
+    st.primary = ProcessorId(stage_ints.id("primary"));
+    if (!stage_ints.ok()) return R::error(stage_ints.error());
     auto replicas = ids_from_json(stage.get("replicas"), "replicas");
     if (!replicas.is_ok()) return R::error(replicas.message());
     st.replicas = std::move(replicas).value();
@@ -305,15 +370,17 @@ Result<ArrivalModel> arrivals_from_json(const json::Value& v) {
   if (kind == "none") return ArrivalModel::none();
   if (kind == "bursty") {
     workload::BurstShape burst;
+    IntFields ints(v, "arrivals.");
     burst.bursts = static_cast<std::size_t>(
-        v.get("bursts").as_int(static_cast<std::int64_t>(burst.bursts)));
-    burst.jobs_per_burst = static_cast<std::size_t>(v.get("jobs_per_burst")
-            .as_int(static_cast<std::int64_t>(burst.jobs_per_burst)));
+        ints.get("bursts", static_cast<std::int64_t>(burst.bursts)));
+    burst.jobs_per_burst = static_cast<std::size_t>(ints.get(
+        "jobs_per_burst", static_cast<std::int64_t>(burst.jobs_per_burst)));
     burst.intra_gap =
-        Duration(v.get("intra_gap_us").as_int(burst.intra_gap.usec()));
+        Duration(ints.get("intra_gap_us", burst.intra_gap.usec()));
     burst.inter_gap =
-        Duration(v.get("inter_gap_us").as_int(burst.inter_gap.usec()));
-    burst.start = Time(v.get("start_us").as_int());
+        Duration(ints.get("inter_gap_us", burst.inter_gap.usec()));
+    burst.start = Time(ints.get("start_us"));
+    if (!ints.ok()) return R::error(ints.error());
     return ArrivalModel::bursty(burst);
   }
   if (kind == "trace") {
@@ -321,10 +388,11 @@ Result<ArrivalModel> arrivals_from_json(const json::Value& v) {
     if (!trace.is_array()) return R::error("arrivals.trace: expected array");
     std::vector<core::Arrival> out;
     for (std::size_t i = 0; i < trace.size(); ++i) {
-      const json::Value& entry = trace.at(i);
-      out.push_back(core::Arrival{
-          TaskId(static_cast<std::int32_t>(entry.get("task").as_int())),
-          Time(entry.get("at_us").as_int())});
+      IntFields ints(trace.at(i),
+                     "arrivals.trace[" + std::to_string(i) + "].");
+      out.push_back(core::Arrival{TaskId(ints.id("task")),
+                                  Time(ints.get("at_us"))});
+      if (!ints.ok()) return R::error(ints.error());
     }
     return ArrivalModel::explicit_trace(std::move(out));
   }
@@ -362,7 +430,9 @@ Result<std::vector<config::ModeChange>> reconfig_from_json(
       return R::error("reconfig[" + std::to_string(i) + "]: expected object");
     }
     config::ModeChange change;
-    change.at = Time(entry.get("at_us").as_int());
+    IntFields ints(entry, "reconfig[" + std::to_string(i) + "].");
+    change.at = Time(ints.get("at_us"));
+    if (!ints.ok()) return R::error(ints.error());
     change.label = entry.get("label").as_string();
     if (entry.get("strategies").is_string()) {
       const auto combo = core::StrategyCombination::parse(
@@ -414,8 +484,10 @@ Result<ScenarioSpec> spec_from_json(const json::Value& v) {
   const auto seed = seed_from_json(v, "seed", "seed");
   if (!seed.is_ok()) return R::error(seed.message());
   spec.seed = seed.value();
-  spec.horizon = Duration(v.get("horizon_us").as_int(spec.horizon.usec()));
-  spec.drain = Duration(v.get("drain_us").as_int(spec.drain.usec()));
+  IntFields ints(v, "");
+  spec.horizon = Duration(ints.get("horizon_us", spec.horizon.usec()));
+  spec.drain = Duration(ints.get("drain_us", spec.drain.usec()));
+  if (!ints.ok()) return R::error(ints.error());
   auto config = config_from_json(v.get("config"));
   if (!config.is_ok()) return R::error(config.message());
   spec.config = std::move(config).value();

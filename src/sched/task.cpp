@@ -68,14 +68,14 @@ Status TaskSet::add(TaskSpec spec) {
     return Status::error("duplicate task id " + spec.id.to_string());
   }
   tasks_.push_back(std::move(spec));
+  index_.insert(tasks_.back().id.value(),
+                static_cast<std::uint32_t>(tasks_.size() - 1));
   return Status::ok();
 }
 
 const TaskSpec* TaskSet::find(TaskId id) const {
-  for (const auto& t : tasks_) {
-    if (t.id == id) return &t;
-  }
-  return nullptr;
+  const std::uint32_t index = index_.lookup(id.value());
+  return index == util::IdSlotMap::kNoSlot ? nullptr : &tasks_[index];
 }
 
 std::vector<ProcessorId> TaskSet::processors() const {

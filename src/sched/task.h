@@ -14,6 +14,7 @@
 
 #include "util/ids.h"
 #include "util/result.h"
+#include "util/slab.h"
 #include "util/time.h"
 
 namespace rtcm::sched {
@@ -70,6 +71,7 @@ class TaskSet {
   [[nodiscard]] std::size_t size() const { return tasks_.size(); }
   [[nodiscard]] bool empty() const { return tasks_.empty(); }
   [[nodiscard]] const std::vector<TaskSpec>& tasks() const { return tasks_; }
+  /// The task with `id`, or null; O(1).
   [[nodiscard]] const TaskSpec* find(TaskId id) const;
 
   /// Every processor referenced by any subtask (primaries and replicas),
@@ -84,6 +86,8 @@ class TaskSet {
 
  private:
   std::vector<TaskSpec> tasks_;
+  /// Task id -> index into tasks_, filled by add().
+  util::IdSlotMap index_;
 };
 
 }  // namespace rtcm::sched

@@ -193,12 +193,20 @@ void Simulator::wheel_dispatch_front() {
     due_.insert(due_.end(), b.begin(), b.end());
     b.clear();
     occupied_[0] &= ~(std::uint64_t{1} << slot);
-    // A level-0 bucket's live entries share one instant, but cascaded
-    // arrivals interleave with direct ones, so seq order needs restoring
-    // (dead entries from older laps may carry earlier times; they sort
-    // first and are skipped).
-    std::sort(due_.begin(), due_.end(),
-              [](const Entry& a, const Entry& b2) { return before(a, b2); });
+    // The bucket is already in (time, seq) order, so it needs no sort.
+    // Its live entries share one instant; take two of them, a before b in
+    // seq order.  reschedule() files a new entry with a fresh seq instead
+    // of editing one in place, so a was filed before b.  When b was filed,
+    // a sat in the very bucket b went to: the cascade is eager (every
+    // advance empties the path buckets above level 0), so a stored entry
+    // is always filed at its time's exact level relative to now_, and that
+    // level and slot depend only on the shared time.  a was therefore
+    // appended first, and every cascade since moved the pair together, in
+    // bucket order.  In particular an entry cascaded down from level >= 1
+    // reaches level 0 before any later-seq entry for its instant can be
+    // placed there directly.  Dead entries keep that order too, and those
+    // left from older laps carry earlier times and earlier seqs.
+    assert(std::is_sorted(due_.begin(), due_.end(), before));
   }
 }
 

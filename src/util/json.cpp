@@ -312,7 +312,12 @@ double Value::as_double(double def) const {
 }
 
 std::int64_t Value::as_int(std::int64_t def) const {
-  return kind_ == Kind::kNumber ? static_cast<std::int64_t>(number_) : def;
+  return is_int64() ? static_cast<std::int64_t>(number_) : def;
+}
+
+bool Value::is_int64() const {
+  // -2^63 and 2^63 are exact doubles; NaN fails both comparisons.
+  return kind_ == Kind::kNumber && number_ >= -0x1p63 && number_ < 0x1p63;
 }
 
 const std::string& Value::as_string() const {

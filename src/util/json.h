@@ -59,7 +59,11 @@ class Value {
   // readers degrade gracefully on schema drift.
   [[nodiscard]] bool as_bool(bool def = false) const;
   [[nodiscard]] double as_double(double def = 0.0) const;
+  /// The number truncated to an integer; `def` as well for a number with
+  /// no int64 value (see is_int64()), where a cast would be undefined.
   [[nodiscard]] std::int64_t as_int(std::int64_t def = 0) const;
+  /// A finite number within the int64 range.
+  [[nodiscard]] bool is_int64() const;
   [[nodiscard]] const std::string& as_string() const;
 
   // Array access.

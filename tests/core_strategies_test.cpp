@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
+#include <string>
 
 #include "core/criteria.h"
 #include "core/strategies.h"
@@ -98,6 +100,13 @@ struct MappingCase {
   const char* expected_label;
 };
 
+// gtest prints a parameter into the listed test name; without this it
+// prints MappingCase's bytes, padding included, which change from build to
+// build.
+void PrintTo(const MappingCase& c, std::ostream* os) {
+  *os << c.expected_label;
+}
+
 class CriteriaMappingTest : public ::testing::TestWithParam<MappingCase> {};
 
 TEST_P(CriteriaMappingTest, MapsToExpectedCombination) {
@@ -134,7 +143,12 @@ INSTANTIATE_TEST_SUITE_P(
         // AC per Task + per-job budget would give IR per Job (invalid);
         // the mapper downgrades IR to per task.
         MappingCase{false, false, true, OverheadTolerance::kPerJob, "T_T_J"},
-        MappingCase{false, true, false, OverheadTolerance::kPerJob, "T_T_N"}));
+        MappingCase{false, true, false, OverheadTolerance::kPerJob, "T_T_N"}),
+    // Named by label and index, for the same reason as PrintTo above.
+    [](const ::testing::TestParamInfo<MappingCase>& info) {
+      return std::string(info.param.expected_label) + "_" +
+             std::to_string(info.index);
+    });
 
 TEST(CriteriaTest, DowngradeNoteExplainsIrAdjustment) {
   CpsCharacteristics c;

@@ -2,6 +2,7 @@
 // ergonomics, library determinism, and the headline contract — a sweep
 // whose cells are round-tripped through their JSON form is byte-identical
 // to the direct sweep.  `ctest -L scenario` selects this layer.
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -150,6 +151,60 @@ TEST(ScenarioValidation, RejectsSeedsBeyondJsonExactRange) {
   reject(nullptr, "seed", "seed");
   reject("config", "comm_jitter_seed", "config.comm_jitter_seed");
   reject("config", "lb_seed", "config.lb_seed");
+}
+
+TEST(ScenarioValidation, RejectsIntegersWithoutAnInt64Value) {
+  // A JSON number is a double; 1e19 has no int64 value, and casting it used
+  // to flip horizon_us to -2^63 ("horizon must be positive, got
+  // -9223372036854775808us").  It is now refused by field name.
+  const auto message = [](const std::string& text) {
+    const auto parsed = scenario::spec_from_text(text);
+    EXPECT_FALSE(parsed.is_ok());
+    return parsed.is_ok() ? std::string() : parsed.message();
+  };
+  const auto with = [](const char* section, const char* key, double value) {
+    json::Value doc = scenario::to_json(small_generated_spec());
+    if (section == nullptr) {
+      doc.set(key, value);
+    } else {
+      json::Value inner = doc.get(section);
+      inner.set(key, value);
+      doc.set(section, inner);
+    }
+    return doc;
+  };
+  const std::string horizon = message(with(nullptr, "horizon_us", 1e19).dump());
+  EXPECT_NE(horizon.find("horizon_us is out of range"), std::string::npos)
+      << horizon;
+  EXPECT_EQ(horizon.find("-9223372036854775808"), std::string::npos)
+      << horizon;
+  EXPECT_NE(message(with(nullptr, "drain_us", -1e19).dump())
+                .find("drain_us is out of range"),
+            std::string::npos);
+  EXPECT_NE(message(with(nullptr, "seed", 1e300).dump())
+                .find("seed is out of range"),
+            std::string::npos);
+  EXPECT_NE(message(with("config", "comm_latency_us", 9.3e18).dump())
+                .find("config.comm_latency_us is out of range"),
+            std::string::npos);
+  // A 32-bit id past its range would wrap rather than trap; refused too.
+  EXPECT_NE(message(with("config", "task_manager", 4294967296.0).dump())
+                .find("config.task_manager is out of range"),
+            std::string::npos);
+
+  // Text cannot spell a non-finite number, but a document built in code
+  // can; it gets the same refusal.
+  const auto parsed = scenario::spec_from_json(
+      with(nullptr, "horizon_us", std::numeric_limits<double>::infinity()));
+  ASSERT_FALSE(parsed.is_ok());
+  EXPECT_NE(parsed.message().find("horizon_us is out of range"),
+            std::string::npos)
+      << parsed.message();
+
+  // The largest representable values still parse.
+  EXPECT_TRUE(
+      scenario::spec_from_text(with(nullptr, "horizon_us", 0x1p62).dump())
+          .is_ok());
 }
 
 TEST(ScenarioValidation, RejectsEmptyExplicitWorkload) {

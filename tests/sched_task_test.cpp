@@ -53,6 +53,28 @@ TEST(TaskSetTest, RejectsDuplicateIds) {
   EXPECT_EQ(set.size(), 1u);
 }
 
+TEST(TaskSetTest, FindByIdKeepsInsertionOrder) {
+  // Sparse ids added out of order, past the index's first growth: find()
+  // resolves each one and tasks() keeps the order of add().
+  TaskSet set;
+  std::vector<std::int32_t> ids;
+  for (std::int32_t i = 0; i < 100; ++i) ids.push_back((i * 37) % 100 * 1000);
+  for (const std::int32_t id : ids) {
+    ASSERT_TRUE(
+        set.add(make_periodic(id, Duration::seconds(1), {{0, 1000}})).is_ok());
+  }
+  const TaskSet copy = set;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(set.tasks()[i].id, TaskId(ids[i]));
+    ASSERT_NE(copy.find(TaskId(ids[i])), nullptr);
+    EXPECT_EQ(copy.find(TaskId(ids[i])), &copy.tasks()[i]);
+  }
+  EXPECT_EQ(set.find(TaskId(1)), nullptr);
+  EXPECT_EQ(set.find(TaskId()), nullptr);
+  EXPECT_FALSE(
+      set.add(make_periodic(37000, Duration::seconds(1), {{0, 1000}})).is_ok());
+}
+
 TEST(TaskSetTest, ValidationRejectsNonPositiveDeadline) {
   auto t = make_periodic(0, Duration::seconds(1), {{0, 1000}});
   t.deadline = Duration::zero();

@@ -26,10 +26,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <utility>
+#include <vector>
 
 #include "core/scheduling_state.h"
+#include "events/federated_channel.h"
+#include "sim/network.h"
 #include "sim/processor.h"
 #include "sim/simulator.h"
 #include "test_helpers.h"
@@ -64,7 +68,7 @@ namespace rtcm::sim {
 namespace {
 
 // The middleware's largest hot-path captures must stay inline: the
-// federated channel ships (pointer + 80-byte event copy) per destination
+// federated channel ships (pointer + 80-byte event) per destination
 // and the subtask components capture (this + 56-byte trigger payload).
 static_assert(EventFn::fits_inline<std::array<std::byte, 88>>);
 static_assert(CompletionFn::fits_inline<std::array<std::byte, 64>>);
@@ -212,6 +216,63 @@ TEST(SimAllocTest, ProcessorCompletionPathAllocationFree) {
   });
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(sink, 2u * 3u * 64u);  // ids 1 + 2 completed per wave, twice
+}
+
+TEST(SimAllocTest, KeyedEventPushToDeliveryAllocationFree) {
+  // The federated channel's hot path: a Trigger addressed to one stage and
+  // an Accept whose arrival and first-stage processors coincide each reach
+  // one channel.  Their payloads are built before the measured window; from
+  // push through routing, the network hop and delivery to the consumer,
+  // nothing may allocate: the event moves into the delivery delegate
+  // instead of being copied, and the channel walks its subscriptions in
+  // place.
+  Simulator sim;
+  Network network(sim, std::make_unique<ConstantLatency>(Duration(322)));
+  events::FederatedEventChannel federation(sim, network);
+  std::uint64_t triggers = 0;
+  std::uint64_t accepts = 0;
+  // Other stages and types on the same channels, so routing has to pick.
+  for (std::int32_t p = 0; p < 8; ++p) {
+    auto& channel = federation.channel(ProcessorId(p));
+    for (std::size_t stage = 0; stage < 3; ++stage) {
+      channel.subscribe(events::RouteKey::trigger(TaskId(p), stage),
+                        [&triggers](const events::Event&) { ++triggers; });
+    }
+    channel.subscribe(events::RouteKey::of(events::EventType::kAccept),
+                      [&accepts](const events::Event&) { ++accepts; });
+  }
+  constexpr int kPushes = 256;
+  const auto make_batch = [] {
+    std::vector<events::EventPayload> batch;
+    for (int i = 0; i < kPushes; ++i) {
+      const JobId job(i);
+      batch.emplace_back(events::TriggerPayload{
+          TaskId(1), job, 1, {ProcessorId(0), ProcessorId(1), ProcessorId(2)},
+          Time(1000000), Time(0)});
+      batch.emplace_back(events::AcceptPayload{
+          TaskId(2), job, ProcessorId(2), {ProcessorId(2), ProcessorId(3)},
+          Time(1000000), false});
+    }
+    return batch;
+  };
+  const auto push_all = [&](std::vector<events::EventPayload>& batch) {
+    for (events::EventPayload& payload : batch) {
+      federation.push(ProcessorId(0), std::move(payload));
+    }
+    sim.run_all();
+  };
+
+  std::vector<events::EventPayload> rehearsal = make_batch();
+  std::vector<events::EventPayload> measured = make_batch();
+  align(sim);
+  push_all(rehearsal);
+  align(sim);
+  const std::uint64_t before = allocation_count();
+  push_all(measured);
+  EXPECT_EQ(allocation_count() - before, 0u);
+  EXPECT_EQ(triggers, 2u * kPushes);
+  EXPECT_EQ(accepts, 2u * kPushes);
+  EXPECT_EQ(network.stats().messages_sent, 4u * kPushes);
 }
 
 }  // namespace

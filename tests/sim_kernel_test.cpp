@@ -295,6 +295,42 @@ TEST(CrossKernelOracleTest, OverflowHorizonChurnMatches) {
   }
 }
 
+TEST(CrossKernelOracleTest, CascadedAndDirectSameInstantEntriesKeepSeqOrder) {
+  // Two instants, 100 and 5000 usec, each reached by entries filed on level
+  // 1 or 2 from afar and cascaded down, then by entries placed straight on
+  // level 0 once now() shares the instant's 64 usec window, and by a
+  // reschedule that moves an early-seq entry behind them.  The wheel
+  // dispatches a level-0 bucket in filing order without sorting it, so
+  // seq order has to come from the filing order alone.
+  const std::vector<Op> script = {
+      {Op::kSchedule, 100, 0, 1},   // t=100 on level 1
+      {Op::kSchedule, 5000, 0, 2},  // t=5000 on level 2
+      {Op::kSchedule, 100, 0, 3},   // level 1, with id 1
+      {Op::kSchedule, 5000, 0, 4},  // level 2, with id 2
+      {Op::kRunUntil, 70},          // now=70: ids 1 and 3 cascade to level 0
+      {Op::kSchedule, 30, 0, 5},    // t=100, straight onto level 0
+      {Op::kReschedule, 30, 0},     // id 1 re-filed behind id 5
+      {Op::kSchedule, 4930, 0, 6},  // t=5000 on level 2, with ids 2 and 4
+      {Op::kRunUntil, 4030},        // now=4100: ids 2, 4, 6 cascade to level 1
+      {Op::kSchedule, 900, 0, 7},   // t=5000 on level 1, behind them
+      {Op::kRunUntil, 895},         // now=4995: all four cascade to level 0
+      {Op::kSchedule, 5, 0, 8},     // t=5000, straight onto level 0
+      {Op::kReschedule, 5, 1},      // id 2 re-filed behind id 8
+  };
+  const Log reference = replay<ReferenceQueue>(script);
+  const Log wheel = replay<WheelQueue>(script);
+  ASSERT_EQ(reference, wheel);
+  const auto dispatched_at = [&](std::int64_t t) {
+    std::vector<std::uint64_t> ids;
+    for (const auto& [time, id] : wheel) {
+      if (time == t && id != 0) ids.push_back(id);
+    }
+    return ids;
+  };
+  EXPECT_EQ(dispatched_at(100), (std::vector<std::uint64_t>{3, 5, 1}));
+  EXPECT_EQ(dispatched_at(5000), (std::vector<std::uint64_t>{4, 6, 7, 8, 2}));
+}
+
 TEST(CrossKernelOracleTest, RunUntilLeavesIdenticalNowWithEmptyQueue) {
   Simulator sim;
   int fired = 0;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include "util/flags.h"
@@ -496,6 +498,16 @@ TEST(JsonTest, TypedAccessorDefaultsOnMismatch) {
   EXPECT_TRUE(s.at(0).is_null());
   const json::Value n(3.0);
   EXPECT_EQ(n.as_string(), "");
+  // A number with no int64 value is a mismatch too, not a cast.
+  EXPECT_TRUE(json::Value(-0x1p63).is_int64());
+  EXPECT_EQ(json::Value(-0x1p63).as_int(7), INT64_MIN);
+  EXPECT_FALSE(json::Value(0x1p63).is_int64());
+  EXPECT_EQ(json::Value(1e19).as_int(7), 7);
+  EXPECT_EQ(json::Value(-1e19).as_int(7), 7);
+  EXPECT_EQ(json::Value(std::numeric_limits<double>::infinity()).as_int(7), 7);
+  EXPECT_EQ(json::Value(std::numeric_limits<double>::quiet_NaN()).as_int(7),
+            7);
+  EXPECT_FALSE(s.is_int64());
 }
 
 }  // namespace
