@@ -134,6 +134,15 @@ int run_spec_file(const Flags& flags) {
   std::printf("  arrivals / rejections %llu / %llu\n",
               static_cast<unsigned long long>(result.arrivals),
               static_cast<unsigned long long>(result.rejections));
+  std::printf("  undecided at end      %llu\n",
+              static_cast<unsigned long long>(result.undecided));
+  if (result.undecided > 0) {
+    std::fprintf(stderr,
+                 "warning: %llu arrivals were neither released nor rejected "
+                 "by the end of the run; the accept ratio counts them as "
+                 "not accepted\n",
+                 static_cast<unsigned long long>(result.undecided));
+  }
   if (!spec.reconfig.empty()) {
     std::printf("  reconfig applied/rejected %llu / %llu\n",
                 static_cast<unsigned long long>(result.reconfig_applied),
@@ -158,6 +167,7 @@ int run_spec_file(const Flags& flags) {
     cell.accept_ratio = result.accept_ratio;
     cell.deadline_misses = result.deadline_misses;
     cell.aperiodic_response_ms = result.aperiodic_response_ms;
+    cell.undecided = result.undecided;
     cell.reconfig_applied = result.reconfig_applied;
     cell.reconfig_rejected = result.reconfig_rejected;
     cell.wall_ms = result.wall_ms;

@@ -11,10 +11,10 @@ files.  Reports are matched by their "name" field.
 Two classes of regression are detected:
 
   * accept-ratio drift: sweep cells are deterministic (same grid cell =>
-    bit-identical result), so any per-cell accept-ratio or deadline-miss
-    change beyond --accept-ratio-eps means the middleware's behaviour
-    changed.  That is sometimes intended (an optimisation that admits more)
-    but must never happen silently.
+    bit-identical result), so any per-cell accept-ratio, deadline-miss or
+    undecided-arrival change beyond --accept-ratio-eps means the
+    middleware's behaviour changed.  That is sometimes intended (an
+    optimisation that admits more) but must never happen silently.
   * wall-time regression: the candidate's total simulation wall time for a
     report exceeding the baseline's by more than --walltime-pct percent.
 
@@ -144,20 +144,25 @@ def compare_report(name, base, cand, eps, walltime_pct, cells_mode):
         miss_delta = abs(
             b.get("deadline_misses", 0) - c.get("deadline_misses", 0)
         )
-        if ratio_delta > eps or miss_delta > eps:
+        # Arrivals left undecided at the end of the run; reports omit the
+        # key when it is zero.
+        undecided_delta = abs(b.get("undecided", 0) - c.get("undecided", 0))
+        if ratio_delta > eps or miss_delta > eps or undecided_delta > eps:
             drifted += 1
             if first_drift is None:
                 first_drift = (
                     f"cell {key}: accept_ratio "
                     f"{b.get('accept_ratio')} -> {c.get('accept_ratio')}, "
                     f"deadline_misses {b.get('deadline_misses')} -> "
-                    f"{c.get('deadline_misses')}"
+                    f"{c.get('deadline_misses')}, undecided "
+                    f"{b.get('undecided', 0)} -> {c.get('undecided', 0)}"
                 )
     if drifted:
         failures.append(
-            f"{name}: accept-ratio/deadline-miss drift in {drifted} "
-            f"cell(s) ({first_drift}); sweep cells are deterministic, so "
-            f"this is a behaviour change — update the baseline if intended"
+            f"{name}: accept-ratio/deadline-miss/undecided drift in "
+            f"{drifted} cell(s) ({first_drift}); sweep cells are "
+            f"deterministic, so this is a behaviour change — update the "
+            f"baseline if intended"
         )
 
     # Sum wall time over the matched cells only: a candidate run with more
@@ -185,7 +190,7 @@ def main():
         "--accept-ratio-eps",
         type=float,
         default=1e-12,
-        help="tolerated absolute accept-ratio / deadline-miss delta "
+        help="tolerated absolute accept-ratio / deadline-miss / undecided delta "
         "(default: %(default)g; cells are deterministic, so near-zero)",
     )
     parser.add_argument(

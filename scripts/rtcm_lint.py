@@ -26,8 +26,11 @@ a flaky nightly diff.  Rules:
                         dependent, i.e. nondeterministic across runs.
   sim-path-alloc        std::function or raw `new` in simulation event-path
                         code: any file under a sim/ directory (the event
-                        kernel) or an events/ directory (the event
-                        channel, which runs once per pushed event).  Event
+                        kernel), an events/ directory (the event channel,
+                        which runs once per pushed event), or a core/ or
+                        sched/ directory (the middleware components and
+                        the admission/placement code whose handlers run
+                        on every arrival inside the simulation).  Event
                         paths must use InlineFunction and slab/arena
                         storage: zero per-event heap allocations is an
                         enforced contract (tests/sim_alloc_test.cpp).
@@ -191,7 +194,7 @@ def collect_unordered_names(code: str) -> set[str]:
     return names
 
 
-SIM_PATH_DIRS = ("sim", "events")
+SIM_PATH_DIRS = ("sim", "events", "core", "sched")
 
 
 def on_sim_path(path: Path) -> bool:

@@ -148,28 +148,29 @@ Status AdmissionControl::on_activate() {
   return Status::ok();
 }
 
-std::vector<ProcessorId> AdmissionControl::primaries(
-    const sched::TaskSpec& spec) {
-  std::vector<ProcessorId> out;
-  out.reserve(spec.subtasks.size());
-  for (const auto& st : spec.subtasks) out.push_back(st.primary);
-  return out;
+void AdmissionControl::primaries(const sched::TaskSpec& spec) {
+  placement_.clear();
+  for (const auto& st : spec.subtasks) placement_.push_back(st.primary);
 }
 
-std::vector<ProcessorId> AdmissionControl::propose(
-    const sched::TaskSpec& spec) {
-  if (location_ == nullptr) return primaries(spec);
-  return location_->propose_placement(spec, state_.ledger());
+void AdmissionControl::propose(const sched::TaskSpec& spec) {
+  if (location_ == nullptr) {
+    primaries(spec);
+    return;
+  }
+  location_->propose_placement(spec, state_.ledger(), placement_);
 }
 
-std::vector<ProcessorId> AdmissionControl::drain_adjusted(
-    const sched::TaskSpec& spec, std::vector<ProcessorId> placement) const {
-  if (drained_.empty()) return placement;
+bool AdmissionControl::drain_adjust(
+    const sched::TaskSpec& spec, std::vector<ProcessorId>& placement) const {
+  if (drained_.empty()) return true;
   for (std::size_t j = 0; j < placement.size(); ++j) {
     if (drained_.count(placement[j]) == 0) continue;
     ProcessorId best;
     double best_util = 0.0;
-    for (const ProcessorId cand : spec.subtasks[j].candidates()) {
+    const sched::SubtaskSpec& st = spec.subtasks[j];
+    for (std::size_t c = 0; c < st.candidate_count(); ++c) {
+      const ProcessorId cand = st.candidate(c);
       if (drained_.count(cand) > 0) continue;
       const double u = state_.ledger().total(cand);
       if (!best.valid() || u < best_util) {
@@ -177,53 +178,63 @@ std::vector<ProcessorId> AdmissionControl::drain_adjusted(
         best_util = u;
       }
     }
-    if (!best.valid()) return {};  // stage has no live candidate
+    if (!best.valid()) return false;  // stage has no live candidate
     placement[j] = best;
   }
-  return placement;
+  return true;
 }
 
-std::vector<ProcessorId> AdmissionControl::placement_for(
+events::Placement AdmissionControl::intern(
+    std::span<const ProcessorId> placement) const {
+  return context().federation.placements().intern(placement);
+}
+
+events::Placement AdmissionControl::placement_for(
     const sched::TaskSpec& spec) {
   switch (lb_) {
     case LbStrategy::kNone:
-      return drain_adjusted(spec, primaries(spec));
+      primaries(spec);
+      break;
     case LbStrategy::kPerTask: {
       // Periodic tasks are assigned once, at first arrival; aperiodic jobs
       // are placed at their single job arrival time (paper §4.4/§5).
       if (spec.kind != sched::TaskKind::kPeriodic) {
-        return drain_adjusted(spec, propose(spec));
+        propose(spec);
+        break;
       }
       const auto it = plans_.find(spec.id);
       if (it != plans_.end()) return it->second;
-      auto placement = drain_adjusted(spec, propose(spec));
+      propose(spec);
+      if (!drain_adjust(spec, placement_)) return {};
       // An unplaceable arrival (every candidate of some stage drained) is
       // not frozen: the task gets a fresh placement once nodes return.
-      if (!placement.empty()) plans_.emplace(spec.id, placement);
-      return placement;
+      const events::Placement frozen = intern(placement_);
+      plans_.emplace(spec.id, frozen);
+      return frozen;
     }
     case LbStrategy::kPerJob:
-      return drain_adjusted(spec, propose(spec));
+      propose(spec);
+      break;
   }
-  return drain_adjusted(spec, primaries(spec));
+  if (!drain_adjust(spec, placement_)) return {};
+  return placement_;
 }
 
 sched::AdmissionDecision AdmissionControl::test(
-    const sched::TaskSpec& spec, const std::vector<ProcessorId>& placement) {
-  std::vector<sched::CandidateStage> stages;
-  stages.reserve(placement.size());
+    const sched::TaskSpec& spec, std::span<const ProcessorId> placement) {
+  stages_.clear();
   for (std::size_t j = 0; j < placement.size(); ++j) {
-    stages.push_back({placement[j], spec.subtask_utilization(j)});
+    stages_.push_back({placement[j], spec.subtask_utilization(j)});
   }
   ++counters_.admission_tests;
   const auto decision = state_.admission_index().admission_test(
-      state_.ledger(), spec.id, stages);
+      state_.ledger(), spec.id, stages_);
   if (check_oracle_) {
     // Reference oracle: the pre-index full-task-set rescan must agree on
     // the decision and on the candidate's own LHS.  (The blocking witness
     // may legitimately differ when several footprints would fail.)
     const auto oracle = sched::aub_admission_test(
-        state_.ledger(), spec.id, stages, state_.current_footprints());
+        state_.ledger(), spec.id, stages_, state_.current_footprints());
     if (oracle.admitted != decision.admitted ||
         oracle.candidate_lhs != decision.candidate_lhs) {
       std::fprintf(stderr,
@@ -247,8 +258,9 @@ sched::AdmissionDecision AdmissionControl::test(
 void AdmissionControl::maybe_move_reservation(const sched::TaskSpec& spec) {
   const auto reservation = state_.reservation(spec.id);
   assert(reservation.has_value());
-  const std::vector<ProcessorId> fresh = drain_adjusted(spec, propose(spec));
-  if (fresh.empty() || std::ranges::equal(fresh, reservation->placement)) {
+  propose(spec);
+  if (!drain_adjust(spec, placement_) ||
+      std::ranges::equal(placement_, reservation->placement)) {
     return;
   }
   // Release, test the new placement against the remaining load, and keep
@@ -256,8 +268,8 @@ void AdmissionControl::maybe_move_reservation(const sched::TaskSpec& spec) {
   // re-adding it restores the exact prior state).
   const std::vector<ProcessorId> old_placement =
       state_.release_reservation(spec);
-  if (test(spec, fresh).admitted) {
-    state_.reserve_task(spec, fresh);
+  if (test(spec, placement_).admitted) {
+    state_.reserve_task(spec, placement_);
     ++counters_.reservation_moves;
   } else {
     state_.reserve_task(spec, old_placement);
@@ -266,7 +278,7 @@ void AdmissionControl::maybe_move_reservation(const sched::TaskSpec& spec) {
 
 void AdmissionControl::accept(const sched::TaskSpec& spec,
                               const TaskArrivePayload& a,
-                              std::vector<ProcessorId> placement,
+                              std::span<const ProcessorId> placement,
                               bool task_admitted) {
   ++counters_.admits;
   const Time absolute_deadline = a.arrival_time + spec.deadline;
@@ -274,8 +286,8 @@ void AdmissionControl::accept(const sched::TaskSpec& spec,
                           context().processor, spec.id, a.job, ""});
   context().federation.push(
       context().processor,
-      AcceptPayload{spec.id, a.job, a.arrival_processor, std::move(placement),
-                    absolute_deadline, task_admitted});
+      AcceptPayload{spec.id, a.job, a.arrival_processor, intern(placement),
+                    absolute_deadline, task_admitted, a.arrival_time});
 }
 
 void AdmissionControl::reject(const TaskArrivePayload& a) {
@@ -287,12 +299,13 @@ void AdmissionControl::reject(const TaskArrivePayload& a) {
 
 void AdmissionControl::handle_ds_aperiodic(const sched::TaskSpec& spec,
                                            const TaskArrivePayload& a) {
-  std::vector<ProcessorId> placement = placement_for(spec);
-  if (placement.empty()) {
+  const events::Placement placed = placement_for(spec);
+  if (placed.empty()) {
     ++counters_.drain_unplaceable;
     reject(a);
     return;
   }
+  const std::vector<ProcessorId> placement(placed.begin(), placed.end());
   ++counters_.admission_tests;
   const std::vector<Duration> bounds = ds_->stage_bounds(spec, placement);
   const Duration round_trip = ds_->config().hop_overhead * 2;
@@ -333,7 +346,7 @@ void AdmissionControl::handle_ds_aperiodic(const sched::TaskSpec& spec,
     }
     ds_jobs_.erase(it);
   });
-  accept(spec, a, std::move(placement), /*task_admitted=*/false);
+  accept(spec, a, placement, /*task_admitted=*/false);
 }
 
 void AdmissionControl::handle_task_arrive(const TaskArrivePayload& a) {
@@ -356,10 +369,7 @@ void AdmissionControl::handle_task_arrive(const TaskArrivePayload& a) {
       // Job — which is exactly when the reservation may move.)
       if (lb_ == LbStrategy::kPerJob) maybe_move_reservation(*spec);
       ++counters_.auto_accepts;
-      const auto reservation = state_.reservation(a.task);
-      accept(*spec, a,
-             std::vector<ProcessorId>(reservation->placement.begin(),
-                                      reservation->placement.end()),
+      accept(*spec, a, state_.reservation(a.task)->placement,
              /*task_admitted=*/true);
       return;
     }
@@ -370,7 +380,7 @@ void AdmissionControl::handle_task_arrive(const TaskArrivePayload& a) {
     // First arrival: test once, reserve forever.  A drain-unplaceable
     // arrival is rejected without condemning the task: once the drained
     // processors return, a later first arrival may still admit it.
-    std::vector<ProcessorId> placement = placement_for(*spec);
+    const events::Placement placement = placement_for(*spec);
     if (placement.empty()) {
       ++counters_.drain_unplaceable;
       reject(a);
@@ -378,7 +388,7 @@ void AdmissionControl::handle_task_arrive(const TaskArrivePayload& a) {
     }
     if (test(*spec, placement).admitted) {
       state_.reserve_task(*spec, placement);
-      accept(*spec, a, std::move(placement), /*task_admitted=*/true);
+      accept(*spec, a, placement, /*task_admitted=*/true);
     } else {
       rejected_tasks_.insert(a.task);
       reject(a);
@@ -387,7 +397,7 @@ void AdmissionControl::handle_task_arrive(const TaskArrivePayload& a) {
   }
 
   // Per-job admission: aperiodic jobs always, periodic jobs under AC=PJ.
-  std::vector<ProcessorId> placement = placement_for(*spec);
+  const events::Placement placement = placement_for(*spec);
   if (placement.empty()) {
     ++counters_.drain_unplaceable;
     reject(a);
@@ -404,7 +414,7 @@ void AdmissionControl::handle_task_arrive(const TaskArrivePayload& a) {
   const JobId job = a.job;
   context().sim.schedule_at(absolute_deadline,
                             [this, job] { state_.expire_job(job); });
-  accept(*spec, a, std::move(placement), /*task_admitted=*/false);
+  accept(*spec, a, placement, /*task_admitted=*/false);
 }
 
 namespace {
@@ -452,8 +462,8 @@ Result<AdmissionControl::TransitionSummary> AdmissionControl::apply_drain(
     std::vector<ProcessorId> old_placement = state_.release_reservation(*spec);
     // Minimal disruption: only stages on a drained processor move (to the
     // lowest-utilization live candidate); the rest stay where they are.
-    std::vector<ProcessorId> fresh = drain_adjusted(*spec, old_placement);
-    if (fresh.empty() || !test(*spec, fresh).admitted) {
+    std::vector<ProcessorId> fresh = old_placement;
+    if (!drain_adjust(*spec, fresh) || !test(*spec, fresh).admitted) {
       // Roll everything back: re-adding the exact old contributions restores
       // the ledger byte-for-byte (same stages, same amounts).
       state_.reserve_task(*spec, old_placement);
@@ -461,7 +471,9 @@ Result<AdmissionControl::TransitionSummary> AdmissionControl::apply_drain(
         const sched::TaskSpec* undone = tasks_.find(it->first);
         assert(undone != nullptr);
         (void)state_.release_reservation(*undone);
-        if (plans_.count(it->first) > 0) plans_[it->first] = it->second;
+        if (plans_.count(it->first) > 0) {
+          plans_[it->first] = intern(it->second);
+        }
         state_.reserve_task(*undone, it->second);
       }
       drained_ = previous;
@@ -471,7 +483,7 @@ Result<AdmissionControl::TransitionSummary> AdmissionControl::apply_drain(
                       "processors");
     }
     state_.reserve_task(*spec, fresh);
-    if (plans_.count(task) > 0) plans_[task] = fresh;
+    if (plans_.count(task) > 0) plans_[task] = intern(fresh);
     summary.migrated.push_back({task, old_placement, fresh});
     undo.emplace_back(task, std::move(old_placement));
   }
@@ -494,11 +506,11 @@ Result<AdmissionControl::TransitionSummary> AdmissionControl::apply_drain(
     if (state_.is_reserved(task) || !touches(placement, drained_)) continue;
     const sched::TaskSpec* spec = tasks_.find(task);
     assert(spec != nullptr);
-    auto fresh = drain_adjusted(*spec, placement);
-    if (fresh.empty()) {
-      unfreeze.push_back(task);  // re-placed (or rejected) at next arrival
+    std::vector<ProcessorId> fresh(placement.begin(), placement.end());
+    if (drain_adjust(*spec, fresh)) {
+      placement = intern(fresh);
     } else {
-      placement = std::move(fresh);
+      unfreeze.push_back(task);  // re-placed (or rejected) at next arrival
     }
   }
   for (const TaskId task : unfreeze) plans_.erase(task);

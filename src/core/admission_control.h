@@ -27,6 +27,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "ccm/component.h"
@@ -132,19 +133,24 @@ class AdmissionControl final : public ccm::Component {
   void handle_task_arrive(const events::TaskArrivePayload& payload);
   void handle_idle_reset(const events::IdleResetPayload& payload);
 
-  /// Placement for this arrival per the LB strategy.  Empty when some stage
-  /// has no non-drained candidate (the arrival must be rejected).
-  [[nodiscard]] std::vector<ProcessorId> placement_for(
-      const sched::TaskSpec& spec);
-  [[nodiscard]] std::vector<ProcessorId> propose(const sched::TaskSpec& spec);
-  [[nodiscard]] static std::vector<ProcessorId> primaries(
-      const sched::TaskSpec& spec);
+  /// Placement for this arrival per the LB strategy: a view of placement_
+  /// or of an interned frozen plan, valid until the next placement_for().
+  /// Empty when some stage has no non-drained candidate (the arrival must
+  /// be rejected).
+  [[nodiscard]] events::Placement placement_for(const sched::TaskSpec& spec);
+  /// The LB's proposal (primaries without an LB) into placement_.
+  void propose(const sched::TaskSpec& spec);
+  void primaries(const sched::TaskSpec& spec);
 
   /// Remap stages placed on drained processors to the lowest-utilization
-  /// non-drained candidate (ties by candidate order).  Empty result when a
-  /// stage has no live candidate.
-  [[nodiscard]] std::vector<ProcessorId> drain_adjusted(
-      const sched::TaskSpec& spec, std::vector<ProcessorId> placement) const;
+  /// non-drained candidate (ties by candidate order), in place.  False when
+  /// a stage has no live candidate.
+  [[nodiscard]] bool drain_adjust(const sched::TaskSpec& spec,
+                                  std::vector<ProcessorId>& placement) const;
+
+  /// The run's interned copy of `placement` (what Accept events carry).
+  [[nodiscard]] events::Placement intern(
+      std::span<const ProcessorId> placement) const;
 
   /// Run Equation (1) for `spec` placed on `placement`, incrementally: only
   /// footprints intersecting the placement are re-checked (the book's
@@ -152,13 +158,13 @@ class AdmissionControl final : public ccm::Component {
   /// environment, every decision is cross-checked against the reference
   /// full-task-set rescan and a mismatch aborts.
   [[nodiscard]] sched::AdmissionDecision test(
-      const sched::TaskSpec& spec, const std::vector<ProcessorId>& placement);
+      const sched::TaskSpec& spec, std::span<const ProcessorId> placement);
 
   /// LB per Job under AC per Task: try to move the standing reservation.
   void maybe_move_reservation(const sched::TaskSpec& spec);
 
   void accept(const sched::TaskSpec& spec, const events::TaskArrivePayload& a,
-              std::vector<ProcessorId> placement, bool task_admitted);
+              std::span<const ProcessorId> placement, bool task_admitted);
   void reject(const events::TaskArrivePayload& a);
 
   /// DS-mode aperiodic arrival handling (delay-bound admission + backlog).
@@ -175,14 +181,19 @@ class AdmissionControl final : public ccm::Component {
   bool check_oracle_ = false;
 
   SchedulingState state_;
-  /// Frozen plans (LB per Task, periodic tasks), set at first arrival.
-  std::map<TaskId, std::vector<ProcessorId>> plans_;
+  /// Frozen plans (LB per Task, periodic tasks), set at first arrival;
+  /// interned, so a frozen job's Accept copies nothing.
+  std::map<TaskId, events::Placement> plans_;
   /// Periodic tasks rejected at first arrival under AC per Task.
   std::set<TaskId> rejected_tasks_;
   /// Processors currently drained by the reconfiguration engine: no new
   /// placement may use them (in-flight jobs finish there by quiescence).
   std::set<ProcessorId> drained_;
   Counters counters_;
+  /// Per-decision scratch, reused so an admission allocates nothing: the
+  /// LB's proposal and the admission test's candidate stages.
+  std::vector<ProcessorId> placement_;
+  std::vector<sched::CandidateStage> stages_;
 
   // DS mode only.
   std::optional<sched::DsAdmission> ds_;

@@ -28,10 +28,11 @@ Status LoadBalancerComponent::on_configure(
   return Status::ok();
 }
 
-std::vector<ProcessorId> LoadBalancerComponent::propose_placement(
-    const sched::TaskSpec& task, const sched::UtilizationLedger& ledger) {
+void LoadBalancerComponent::propose_placement(
+    const sched::TaskSpec& task, const sched::UtilizationLedger& ledger,
+    std::vector<ProcessorId>& out) {
   ++location_calls_;
-  return balancer_.place(task, ledger);
+  balancer_.place(task, ledger, out);
 }
 
 }  // namespace rtcm::core

@@ -30,9 +30,9 @@ class LoadBalancerComponent final : public ccm::Component,
   LoadBalancerComponent();
 
   // LocationService
-  std::vector<ProcessorId> propose_placement(
-      const sched::TaskSpec& task,
-      const sched::UtilizationLedger& ledger) override;
+  void propose_placement(const sched::TaskSpec& task,
+                         const sched::UtilizationLedger& ledger,
+                         std::vector<ProcessorId>& out) override;
 
   [[nodiscard]] std::uint64_t location_calls() const {
     return location_calls_;

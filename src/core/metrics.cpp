@@ -12,7 +12,8 @@ void MetricsCollector::on_arrival(const sched::TaskSpec& spec, JobId job,
   tm.arrived_utilization += u;
   ++total_.arrivals;
   total_.arrived_utilization += u;
-  arrival_times_[job] = {spec.id, when};
+  (void)job;
+  (void)when;
 }
 
 void MetricsCollector::on_release(const sched::TaskSpec& spec, JobId job,
@@ -29,10 +30,10 @@ void MetricsCollector::on_release(const sched::TaskSpec& spec, JobId job,
 
 void MetricsCollector::on_rejection(const sched::TaskSpec& spec, JobId job,
                                     Time when) {
+  (void)job;
   (void)when;
   ++per_task_[spec.id].rejections;
   ++total_.rejections;
-  arrival_times_.erase(job);
 }
 
 void MetricsCollector::on_idle_reset(std::size_t subjobs_reset) {
@@ -40,9 +41,9 @@ void MetricsCollector::on_idle_reset(std::size_t subjobs_reset) {
   subjobs_reset_ += subjobs_reset;
 }
 
-void MetricsCollector::job_completed(TaskId task, JobId job, Time released,
+void MetricsCollector::job_completed(TaskId task, JobId job, Time arrived,
                                      Time completed, Time absolute_deadline) {
-  (void)released;
+  (void)job;
   TaskMetrics& tm = per_task_[task];
   ++tm.completions;
   ++total_.completions;
@@ -51,14 +52,9 @@ void MetricsCollector::job_completed(TaskId task, JobId job, Time released,
     ++tm.deadline_misses;
     ++total_.deadline_misses;
   }
-  const auto it = arrival_times_.find(job);
-  if (it != arrival_times_.end()) {
-    const double response_ms =
-        (completed - it->second.second).as_milliseconds();
-    tm.response_ms.add(response_ms);
-    total_.response_ms.add(response_ms);
-    arrival_times_.erase(it);
-  }
+  const double response_ms = (completed - arrived).as_milliseconds();
+  tm.response_ms.add(response_ms);
+  total_.response_ms.add(response_ms);
 }
 
 double MetricsCollector::accepted_utilization_ratio() const {

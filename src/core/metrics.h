@@ -37,8 +37,9 @@ class MetricsCollector final : public JobCompletionListener {
   void on_rejection(const sched::TaskSpec& spec, JobId job, Time when);
   void on_idle_reset(std::size_t subjobs_reset);
 
-  // JobCompletionListener: called by Last Subtask components.
-  void job_completed(TaskId task, JobId job, Time released, Time completed,
+  // JobCompletionListener: called by Last Subtask components.  The response
+  // time is completed - arrived, with `arrived` carried by the job's events.
+  void job_completed(TaskId task, JobId job, Time arrived, Time completed,
                      Time absolute_deadline) override;
 
   /// The paper's metric; 1.0 when nothing has arrived yet.
@@ -55,9 +56,6 @@ class MetricsCollector final : public JobCompletionListener {
   [[nodiscard]] std::string render() const;
 
  private:
-  /// Job arrival times, so completions can compute response times without
-  /// threading arrival timestamps through the whole pipeline.
-  std::map<JobId, std::pair<TaskId, Time>> arrival_times_;
   std::map<TaskId, TaskMetrics> per_task_;
   TaskMetrics total_;
   std::uint64_t idle_resets_ = 0;

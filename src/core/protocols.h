@@ -18,13 +18,14 @@
 namespace rtcm::core {
 
 /// LB facet ("Location"): propose a per-stage processor assignment for a
-/// task against the current synthetic utilization.
+/// task against the current synthetic utilization, written into the
+/// caller's `out` (one processor per stage; its capacity is reused).
 class LocationService {
  public:
   virtual ~LocationService() = default;
-  [[nodiscard]] virtual std::vector<ProcessorId> propose_placement(
-      const sched::TaskSpec& task,
-      const sched::UtilizationLedger& ledger) = 0;
+  virtual void propose_placement(const sched::TaskSpec& task,
+                                 const sched::UtilizationLedger& ledger,
+                                 std::vector<ProcessorId>& out) = 0;
 };
 
 /// IR facet ("Complete"): a subtask component finished one subjob on this
@@ -41,7 +42,9 @@ class CompletionSink {
 class JobCompletionListener {
  public:
   virtual ~JobCompletionListener() = default;
-  virtual void job_completed(TaskId task, JobId job, Time released,
+  /// `arrived` is when the job arrived at its TE (the Trigger chain carries
+  /// it), so completed - arrived is the end-to-end response time.
+  virtual void job_completed(TaskId task, JobId job, Time arrived,
                              Time completed, Time absolute_deadline) = 0;
 };
 

@@ -130,7 +130,8 @@ bool SchedulingState::book_oracle_from_env() {
 }
 
 SchedulingState::SchedulingState(util::MonotonicArena* arena, bool book_oracle)
-    : own_arena_(arena == nullptr ? new util::MonotonicArena() : nullptr),
+    : own_arena_(arena == nullptr ? std::make_unique<util::MonotonicArena>()
+                                  : nullptr),
       arena_(arena == nullptr ? own_arena_.get() : arena),
       index_(arena_) {
   if (book_oracle) shadow_ = std::make_unique<ShadowBook>();

@@ -171,7 +171,7 @@ void LastSubtask::on_subjob_finished(const TriggerPayload& payload) {
         });
   }
   if (listener_ != nullptr) {
-    listener_->job_completed(task(), payload.job, payload.release_time, now,
+    listener_->job_completed(task(), payload.job, payload.arrival_time, now,
                              payload.absolute_deadline);
   }
 }

@@ -69,7 +69,7 @@ void TaskEffector::job_arrived(TaskId task, JobId job) {
     }
   }
 
-  held_.emplace(job, HeldJob{task, now});
+  held_.insert(job.value(), 0);
   const bool first = seen_tasks_.insert(task).second;
   context().federation.push(
       context().processor,
@@ -77,9 +77,11 @@ void TaskEffector::job_arrived(TaskId task, JobId job) {
 }
 
 void TaskEffector::rebind_admitted_placement(
-    TaskId task, std::vector<ProcessorId> placement) {
+    TaskId task, std::span<const ProcessorId> placement) {
   const auto it = admitted_tasks_.find(task);
-  if (it != admitted_tasks_.end()) it->second = std::move(placement);
+  if (it != admitted_tasks_.end()) {
+    it->second = context().federation.placements().intern(placement);
+  }
 }
 
 void TaskEffector::handle_accept(const AcceptPayload& payload) {
@@ -88,10 +90,9 @@ void TaskEffector::handle_accept(const AcceptPayload& payload) {
   assert(spec);
 
   if (payload.arrival_processor == me) {
-    const auto it = held_.find(payload.job);
     // The job may be unknown if this TE restarted or the Accept was for an
     // immediate-release task; ignore quietly.
-    if (it != held_.end()) held_.erase(it);
+    (void)held_.erase(payload.job.value());
     if (payload.task_admitted && !hold_every_job_) {
       admitted_tasks_[payload.task] = payload.placement;
     }
@@ -109,15 +110,13 @@ void TaskEffector::handle_accept(const AcceptPayload& payload) {
                    payload.arrival_processor.to_string();
           });
     }
-    release(*spec, payload.job, now, payload.placement,
+    release(*spec, payload.job, payload.arrival_time, payload.placement,
             payload.absolute_deadline);
   }
 }
 
 void TaskEffector::handle_reject(const RejectPayload& payload) {
-  const auto it = held_.find(payload.job);
-  if (it == held_.end()) return;
-  held_.erase(it);
+  if (!held_.erase(payload.job.value())) return;
   const sched::TaskSpec* spec = tasks_.find(payload.task);
   assert(spec);
   if (metrics_) {
@@ -128,8 +127,7 @@ void TaskEffector::handle_reject(const RejectPayload& payload) {
 }
 
 void TaskEffector::release(const sched::TaskSpec& spec, JobId job,
-                           Time /*arrival*/,
-                           const std::vector<ProcessorId>& placement,
+                           Time arrival, events::Placement placement,
                            Time absolute_deadline) {
   const Time now = context().sim.now();
   if (metrics_) metrics_->on_release(spec, job, now);
@@ -138,7 +136,7 @@ void TaskEffector::release(const sched::TaskSpec& spec, JobId job,
   context().federation.push(
       context().processor,
       TriggerPayload{spec.id, job, /*stage=*/0, placement, absolute_deadline,
-                     now});
+                     arrival});
 }
 
 }  // namespace rtcm::core

@@ -13,11 +13,13 @@
 
 #include <map>
 #include <set>
-#include <vector>
+#include <span>
 
 #include "ccm/component.h"
 #include "core/metrics.h"
+#include "events/event.h"
 #include "sched/task.h"
+#include "util/slab.h"
 
 namespace rtcm::core {
 
@@ -50,7 +52,7 @@ class TaskEffector final : public ccm::Component {
   /// when the task is not cached (it will pick the placement up from its
   /// next Accept event).
   void rebind_admitted_placement(TaskId task,
-                                 std::vector<ProcessorId> placement);
+                                 std::span<const ProcessorId> placement);
 
  protected:
   [[nodiscard]] Status on_configure(
@@ -58,24 +60,21 @@ class TaskEffector final : public ccm::Component {
   [[nodiscard]] Status on_activate() override;
 
  private:
-  struct HeldJob {
-    TaskId task;
-    Time arrival;
-  };
-
   void handle_accept(const events::AcceptPayload& payload);
   void handle_reject(const events::RejectPayload& payload);
   /// Push the stage-0 trigger (the "Release"); placement[0] may be remote.
+  /// `arrival` rides the Trigger chain to the end-to-end response time.
   void release(const sched::TaskSpec& spec, JobId job, Time arrival,
-               const std::vector<ProcessorId>& placement,
-               Time absolute_deadline);
+               events::Placement placement, Time absolute_deadline);
 
   const sched::TaskSet& tasks_;
   MetricsCollector* metrics_;
   bool hold_every_job_ = true;  // "PJ"
-  std::map<JobId, HeldJob> held_;
-  /// Periodic tasks admitted wholesale (AC per Task), with their placement.
-  std::map<TaskId, std::vector<ProcessorId>> admitted_tasks_;
+  /// Jobs waiting for the AC's answer (the mapped slot is unused).
+  util::IdSlotMap held_;
+  /// Periodic tasks admitted wholesale (AC per Task), with their interned
+  /// placement.
+  std::map<TaskId, events::Placement> admitted_tasks_;
   /// Tasks that have arrived at this TE before (first_arrival flag).
   std::set<TaskId> seen_tasks_;
   std::uint64_t immediate_releases_ = 0;

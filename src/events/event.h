@@ -12,6 +12,7 @@
 #include <variant>
 #include <vector>
 
+#include "events/placement_table.h"
 #include "util/ids.h"
 #include "util/time.h"
 
@@ -56,11 +57,15 @@ struct AcceptPayload {
   TaskId task;
   JobId job;
   ProcessorId arrival_processor;
-  std::vector<ProcessorId> placement;
+  /// Interned in the federation's PlacementTable (placement_table.h).
+  Placement placement;
   Time absolute_deadline;
   /// True when AC-per-Task admitted the whole periodic task: the TE may
   /// release all subsequent jobs immediately (paper §5, TE attribute).
   bool task_admitted = false;
+  /// When the job arrived at its TE (copied from the Task Arrive event), so
+  /// the Trigger chain can carry it to the end-to-end response time.
+  Time arrival_time;
 };
 
 /// AC -> TE: drop the held job (admission failed / task not admitted).
@@ -76,9 +81,12 @@ struct TriggerPayload {
   JobId job;
   /// Index of the stage to execute now.
   std::size_t stage = 0;
-  std::vector<ProcessorId> placement;
+  /// Interned in the federation's PlacementTable (placement_table.h).
+  Placement placement;
   Time absolute_deadline;
-  Time release_time;  // when the job was released by the TE
+  /// When the job arrived at its TE; the Last Subtask reports completion
+  /// minus this as the job's response time.
+  Time arrival_time;
 };
 
 /// IR -> AC: processor went idle; these completed subjobs' contributions can

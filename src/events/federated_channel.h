@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "events/local_channel.h"
+#include "events/placement_table.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 
@@ -50,6 +51,10 @@ class FederatedEventChannel {
   /// source's own).
   void push(ProcessorId source, EventPayload payload);
 
+  /// The run's interned placements.  Accept and Trigger payloads view into
+  /// it, and it lives as long as the channel that carries them.
+  [[nodiscard]] PlacementTable& placements() { return placements_; }
+
   [[nodiscard]] const FederationStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t channel_count() const { return channels_.size(); }
 
@@ -73,6 +78,7 @@ class FederatedEventChannel {
              std::variant_size_v<EventPayload>>
       listeners_;
   FederationStats stats_;
+  PlacementTable placements_;
 };
 
 }  // namespace rtcm::events

@@ -156,14 +156,16 @@ OverheadReport measure_overheads(const OverheadParams& params) {
     const ProcessorId home = realloc_spec->subtasks.front().primary;
     const ProcessorId away = realloc_spec->subtasks.front().replicas.front();
 
+    // Interned, like the AC's: the released Triggers outlive this block.
     auto make_accept = [&](const std::vector<ProcessorId>& placement) {
       return events::Event{
           runtime.task_manager(), runtime.simulator().now(),
           events::AcceptPayload{realloc_spec->id, JobId(next_job++), home,
-                                placement,
+                                runtime.federation().placements().intern(
+                                    placement),
                                 runtime.simulator().now() +
                                     realloc_spec->deadline,
-                                false}};
+                                false, runtime.simulator().now()}};
     };
 
     std::vector<ProcessorId> local_placement = primaries(*realloc_spec);

@@ -206,6 +206,8 @@ Result<ScenarioResult> run_scenario(const ScenarioSpec& spec) {
   result.releases = metrics.total().releases;
   result.completions = metrics.total().completions;
   result.rejections = metrics.total().rejections;
+  result.undecided = metrics.total().arrivals - metrics.total().releases -
+                     metrics.total().rejections;
   OnlineStats response;
   for (const auto& [task, tm] : metrics.per_task()) {
     if (runtime.tasks().find(task)->kind == sched::TaskKind::kAperiodic) {

@@ -117,6 +117,11 @@ struct ScenarioResult {
   std::uint64_t releases = 0;
   std::uint64_t completions = 0;
   std::uint64_t rejections = 0;
+  /// Arrivals neither released nor rejected when the run ended
+  /// (arrivals - releases - rejections): jobs still held pending the AC's
+  /// answer.  Zero for every well-formed cell; nonzero means the accept
+  /// ratio counts jobs whose admission was never decided.
+  std::uint64_t undecided = 0;
   std::uint64_t reconfig_applied = 0;
   std::uint64_t reconfig_rejected = 0;
   /// Per-mode-change outcomes when the spec carried a reconfig script.

@@ -14,48 +14,31 @@ double term_of(double total) {
   return is_saturated(total) ? kAubUnsatisfiable : aub_term(total);
 }
 
-/// The candidate's tentative additions, deduplicated by processor.  Stage
-/// counts are single digits, so linear scans beat hashing here.
-struct Overlay {
-  struct Entry {
-    ProcessorId proc;
-    double amount = 0.0;
-    std::uint32_t index = 0;  // dense proc-entry index, or kNoEntry
-  };
-  std::vector<Entry> entries;
-
-  void add(ProcessorId proc, double amount) {
-    for (Entry& e : entries) {
-      if (e.proc == proc) {
-        e.amount += amount;
-        return;
-      }
-    }
-    entries.push_back({proc, amount, 0});
+/// The overlay entry for `proc` (by processor, or by resolved proc-entry
+/// index), or null.  Every registered visit has an entry index, so an
+/// overlay entry resolved to kNoEntry — a processor the index has never
+/// seen — can never match by index.
+template <typename Entry>
+const Entry* find_proc(const std::vector<Entry>& overlay, ProcessorId proc) {
+  for (const Entry& e : overlay) {
+    if (e.proc == proc) return &e;
   }
-
-  [[nodiscard]] const double* find(ProcessorId proc) const {
-    for (const Entry& e : entries) {
-      if (e.proc == proc) return &e.amount;
-    }
-    return nullptr;
+  return nullptr;
+}
+template <typename Entry>
+const Entry* find_index(const std::vector<Entry>& overlay,
+                        std::uint32_t index) {
+  for (const Entry& e : overlay) {
+    if (e.index == index) return &e;
   }
-
-  /// Lookup by resolved proc-entry index (every registered visit has one,
-  /// so a kNoEntry overlay entry — a processor the index has never seen —
-  /// can never match).
-  [[nodiscard]] const Entry* find_index(std::uint32_t index) const {
-    for (const Entry& e : entries) {
-      if (e.index == index) return &e;
-    }
-    return nullptr;
-  }
-};
+  return nullptr;
+}
 
 }  // namespace
 
 AdmissionIndex::AdmissionIndex(util::MonotonicArena* arena)
-    : own_arena_(arena == nullptr ? new util::MonotonicArena() : nullptr),
+    : own_arena_(arena == nullptr ? std::make_unique<util::MonotonicArena>()
+                                  : nullptr),
       arena_(arena == nullptr ? own_arena_.get() : arena) {}
 
 std::uint32_t AdmissionIndex::intern(ProcessorId proc) {
@@ -180,16 +163,24 @@ std::size_t AdmissionIndex::footprint_bytes() const {
 
 AdmissionDecision AdmissionIndex::admission_test(
     const UtilizationLedger& ledger, TaskId candidate,
-    const std::vector<CandidateStage>& stages) const {
+    std::span<const CandidateStage> stages) const {
   AdmissionDecision decision;
 
-  Overlay overlay;
+  overlay_.clear();
   for (const CandidateStage& s : stages) {
     assert(s.processor.valid());
     assert(s.utilization >= 0.0);
-    overlay.add(s.processor, s.utilization);
+    bool merged = false;
+    for (OverlayEntry& e : overlay_) {
+      if (e.proc == s.processor) {
+        e.amount += s.utilization;
+        merged = true;
+        break;
+      }
+    }
+    if (!merged) overlay_.push_back({s.processor, s.utilization, 0});
   }
-  for (Overlay::Entry& o : overlay.entries) {
+  for (OverlayEntry& o : overlay_) {
     o.index = proc_index_.lookup(o.proc.value());
   }
 
@@ -197,7 +188,8 @@ AdmissionDecision AdmissionIndex::admission_test(
   // reference aub_admission_test (so candidate_lhs is bit-identical).
   double candidate_lhs = 0.0;
   for (const CandidateStage& s : stages) {
-    const double u = ledger.total(s.processor) + *overlay.find(s.processor);
+    const double u =
+        ledger.total(s.processor) + find_proc(overlay_, s.processor)->amount;
     if (u >= 1.0 - kAubEpsilon) {
       candidate_lhs = kAubUnsatisfiable;
       break;
@@ -217,14 +209,14 @@ AdmissionDecision AdmissionIndex::admission_test(
   // from its visit list — overlaid processors at their tentative terms,
   // the rest at their (always current) cached terms.
   ++round_counter_;
-  for (const Overlay::Entry& o : overlay.entries) {
+  for (const OverlayEntry& o : overlay_) {
     if (o.index == kNoEntry) continue;
     for (const std::uint32_t slot : members_[o.index]) {
       if (round_[slot] == round_counter_) continue;
       round_[slot] = round_counter_;
       double lhs = 0.0;
       for (const Visit& v : visits_[slot]) {
-        const Overlay::Entry* a = overlay.find_index(v.entry);
+        const OverlayEntry* a = find_index(overlay_, v.entry);
         if (a != nullptr) {
           const double u = ledger.total(a->proc) + a->amount;
           if (u >= 1.0 - kAubEpsilon) {

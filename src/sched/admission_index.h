@@ -44,6 +44,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <vector>
@@ -98,9 +99,18 @@ class AdmissionIndex {
   /// the footprints whose processors intersect the candidate's.  Decision-
   /// equivalent to aub_admission_test() over all registered footprints
   /// (blocking_task may name a different witness when several would fail).
+  /// Allocation-free once the overlay scratch has seen as many distinct
+  /// processors as the longest candidate.
   [[nodiscard]] AdmissionDecision admission_test(
       const UtilizationLedger& ledger, TaskId candidate,
-      const std::vector<CandidateStage>& stages) const;
+      std::span<const CandidateStage> stages) const;
+  [[nodiscard]] AdmissionDecision admission_test(
+      const UtilizationLedger& ledger, TaskId candidate,
+      std::initializer_list<CandidateStage> stages) const {
+    return admission_test(
+        ledger, candidate,
+        std::span<const CandidateStage>(stages.begin(), stages.size()));
+  }
 
   /// LHS of a registered footprint at the current ledger totals, summed
   /// from its visit list and the cached per-processor terms
@@ -127,6 +137,13 @@ class AdmissionIndex {
     std::uint32_t member_slot = 0;  // position in members_[entry]
   };
   static constexpr std::uint32_t kNoEntry = util::IdSlotMap::kNoSlot;
+  /// One processor of the candidate under test, with its tentative
+  /// addition summed over the candidate's stages there.
+  struct OverlayEntry {
+    ProcessorId proc;
+    double amount = 0.0;
+    std::uint32_t index = 0;  // dense proc-entry index, or kNoEntry
+  };
 
   /// Dense proc entry of `proc`, created (term unset) on first sight.
   std::uint32_t intern(ProcessorId proc);
@@ -153,6 +170,10 @@ class AdmissionIndex {
   std::vector<std::vector<std::uint32_t>> members_;  // footprint slots
 
   mutable std::uint64_t round_counter_ = 0;
+  /// admission_test() scratch: the candidate's additions, deduplicated by
+  /// processor (stage counts are single digits, so linear scans beat
+  /// hashing).  Reused across calls so a test allocates nothing.
+  mutable std::vector<OverlayEntry> overlay_;
   std::unique_ptr<util::MonotonicArena> own_arena_;
   util::MonotonicArena* arena_;
 };

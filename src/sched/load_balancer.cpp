@@ -2,18 +2,12 @@
 
 #include <cassert>
 #include <limits>
-#include <unordered_map>
 
 namespace rtcm::sched {
 
-std::vector<ProcessorId> LoadBalancer::place(
-    const TaskSpec& task, const UtilizationLedger& ledger) const {
-  std::vector<ProcessorId> placement;
-  placement.reserve(task.subtasks.size());
-
-  // Utilization the earlier stages of this same candidate would add.
-  std::unordered_map<ProcessorId, double> pending;
-
+void LoadBalancer::place(const TaskSpec& task, const UtilizationLedger& ledger,
+                         std::vector<ProcessorId>& out) const {
+  out.clear();
   for (std::size_t j = 0; j < task.subtasks.size(); ++j) {
     const SubtaskSpec& st = task.subtasks[j];
     ProcessorId chosen = st.primary;
@@ -22,19 +16,27 @@ std::vector<ProcessorId> LoadBalancer::place(
       case PlacementPolicy::kPrimaryOnly:
         break;
       case PlacementPolicy::kRandomReplica: {
-        const auto candidates = st.candidates();
-        if (candidates.size() > 1 && random_pick_) {
-          chosen = candidates[random_pick_(candidates.size())];
-        }
+        const std::size_t n = st.candidate_count();
+        if (n > 1 && random_pick_) chosen = st.candidate(random_pick_(n));
         break;
       }
       case PlacementPolicy::kLowestUtilization: {
         double best = std::numeric_limits<double>::infinity();
-        for (const ProcessorId p : st.candidates()) {
+        for (std::size_t c = 0; c < st.candidate_count(); ++c) {
+          const ProcessorId p = st.candidate(c);
           double u = ledger.total(p);
-          if (const auto it = pending.find(p); it != pending.end()) {
-            u += it->second;
+          // Utilization the earlier stages of this same candidate would
+          // add: summed from 0.0 in stage order, then added once, exactly
+          // as a per-processor running total would be.
+          double pending = 0.0;
+          bool earlier = false;
+          for (std::size_t k = 0; k < j; ++k) {
+            if (out[k] == p) {
+              pending += task.subtask_utilization(k);
+              earlier = true;
+            }
           }
+          if (earlier) u += pending;
           // Strict < keeps the earliest candidate (the primary) on ties,
           // avoiding gratuitous re-allocations.
           if (u < best) {
@@ -45,10 +47,15 @@ std::vector<ProcessorId> LoadBalancer::place(
         break;
       }
     }
-
-    pending[chosen] += task.subtask_utilization(j);
-    placement.push_back(chosen);
+    out.push_back(chosen);
   }
+}
+
+std::vector<ProcessorId> LoadBalancer::place(
+    const TaskSpec& task, const UtilizationLedger& ledger) const {
+  std::vector<ProcessorId> placement;
+  placement.reserve(task.subtasks.size());
+  place(task, ledger, placement);
   return placement;
 }
 

@@ -9,11 +9,11 @@
 // lightly-loaded processor.  Already-admitted tasks are never migrated.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "sched/task.h"
 #include "sched/utilization_ledger.h"
+#include "util/inline_fn.h"
 
 namespace rtcm::sched {
 
@@ -30,25 +30,32 @@ enum class PlacementPolicy {
 /// with the caller's RNG.
 class LoadBalancer {
  public:
+  /// Index in [0, n); captures up to a pointer or two stay inline.
+  using PickFn = InlineFunction<std::size_t(std::size_t), 16>;
+
   explicit LoadBalancer(
       PlacementPolicy policy = PlacementPolicy::kLowestUtilization)
       : policy_(policy) {}
 
-  void set_random_pick(std::function<std::size_t(std::size_t)> pick) {
-    random_pick_ = std::move(pick);
-  }
+  void set_random_pick(PickFn pick) { random_pick_ = std::move(pick); }
 
   [[nodiscard]] PlacementPolicy policy() const { return policy_; }
 
   /// Compute a placement for every stage of `task` given current ledger
-  /// state.  Never fails: there is always at least the primary processor.
-  /// (Whether the placement is *admissible* is the admission test's call.)
+  /// state into `out` (resized to the stage count; its capacity is reused,
+  /// so a warm caller-owned buffer makes this allocation-free).  Never
+  /// fails: there is always at least the primary processor.  (Whether the
+  /// placement is *admissible* is the admission test's call.)
+  void place(const TaskSpec& task, const UtilizationLedger& ledger,
+             std::vector<ProcessorId>& out) const;
+  /// Convenience form returning a fresh vector.
   [[nodiscard]] std::vector<ProcessorId> place(
       const TaskSpec& task, const UtilizationLedger& ledger) const;
 
  private:
   PlacementPolicy policy_;
-  std::function<std::size_t(std::size_t)> random_pick_;
+  /// Mutable: picking advances the caller's RNG, not the balancer's state.
+  mutable PickFn random_pick_;
 };
 
 /// Spread of synthetic utilization across `procs` (max - min); the heuristic

@@ -37,6 +37,14 @@ struct SubtaskSpec {
 
   /// primary + replicas: every processor this subtask may be assigned to.
   [[nodiscard]] std::vector<ProcessorId> candidates() const;
+  /// The same candidates walked in place (hot paths): candidate(0) is the
+  /// primary, candidate(i) the (i-1)-th replica.
+  [[nodiscard]] std::size_t candidate_count() const {
+    return 1 + replicas.size();
+  }
+  [[nodiscard]] ProcessorId candidate(std::size_t i) const {
+    return i == 0 ? primary : replicas[i - 1];
+  }
 };
 
 /// One end-to-end task.

@@ -40,7 +40,6 @@ void Network::send(ProcessorId from, ProcessorId to, EventFn on_deliver) {
   assert(!lat.is_negative());
   ++stats_.messages_sent;
   if (from != to) ++stats_.remote_messages;
-  stats_.total_latency += lat;
   sim_.schedule_after(lat, std::move(on_deliver));
 }
 

@@ -66,7 +66,6 @@ class UniformJitterLatency final : public LatencyModel {
 struct NetworkStats {
   std::uint64_t messages_sent = 0;
   std::uint64_t remote_messages = 0;
-  Duration total_latency = Duration::zero();
 };
 
 class Network {

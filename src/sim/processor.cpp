@@ -1,6 +1,7 @@
 #include "sim/processor.h"
 
 #include <cassert>
+#include <iterator>
 
 namespace rtcm::sim {
 
@@ -75,7 +76,8 @@ std::optional<WorkItem> Processor::pop_ready() {
     if (more_urgent || same_and_earlier) best = it;
   }
   WorkItem item = std::move(best->second);
-  ready_.erase(best);
+  if (std::next(best) != ready_.end()) *best = std::move(ready_.back());
+  ready_.pop_back();
   return item;
 }
 

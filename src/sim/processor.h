@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -24,7 +23,7 @@
 namespace rtcm::sim {
 
 /// Completion callback for served/dispatched subjobs.  The inline capacity
-/// covers the subtask components' capture (this + a TriggerPayload copy, 64
+/// covers the subtask components' capture (this + a TriggerPayload copy, 56
 /// bytes); larger captures fall back to one heap allocation.
 using CompletionFn = InlineFunction<void(std::uint64_t), 64>;
 
@@ -88,8 +87,10 @@ class Processor {
   Simulator& sim_;
   ProcessorId id_;
   std::optional<Running> running_;
-  // Ready queue: kept sorted on pop; submission order preserved per level.
-  std::deque<std::pair<std::uint64_t, WorkItem>> ready_;  // (seq, item)
+  // Ready items (seq, item), unordered: pop_ready scans for the most urgent
+  // and fills the hole with the last item.  A vector keeps its capacity, so
+  // steady-state submit/pop churn allocates nothing.
+  std::vector<std::pair<std::uint64_t, WorkItem>> ready_;
   std::uint64_t next_seq_ = 0;
   EventFn idle_callback_;
   ProcessorStats stats_;

@@ -30,8 +30,10 @@ json::Value cell_json(const CellResult& r, bool include_timing) {
   out.set("accept_ratio", r.accept_ratio);
   out.set("deadline_misses", r.deadline_misses);
   out.set("aperiodic_response_ms", r.aperiodic_response_ms);
-  // Reconfiguration counters only appear for mode-change cells, so reports
-  // from plain sweeps keep their historical byte layout.
+  // Undecided jobs and reconfiguration counters only appear when nonzero,
+  // so reports from well-formed plain sweeps keep their historical byte
+  // layout.
+  if (r.undecided > 0) out.set("undecided", r.undecided);
   if (r.reconfig_applied > 0 || r.reconfig_rejected > 0) {
     out.set("reconfig_applied", r.reconfig_applied);
     out.set("reconfig_rejected", r.reconfig_rejected);
@@ -166,6 +168,7 @@ Result<Report> Report::from_json(const json::Value& v) {
     r.deadline_misses =
         static_cast<std::uint64_t>(c.get("deadline_misses").as_int());
     r.aperiodic_response_ms = c.get("aperiodic_response_ms").as_double();
+    r.undecided = static_cast<std::uint64_t>(c.get("undecided").as_int(0));
     r.reconfig_applied =
         static_cast<std::uint64_t>(c.get("reconfig_applied").as_int(0));
     r.reconfig_rejected =

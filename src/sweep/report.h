@@ -12,6 +12,7 @@
 //       {"combo": "T_N_N", "shape": "random", "variant": "", "seed": 1,
 //        "accept_ratio": 0.7, "deadline_misses": 0,
 //        "aperiodic_response_ms": 12.5, "wall_ms": 3.2}, ...
+//       // + "undecided": N when arrivals were left undecided at the end
 //     ],
 //     "aggregates": [
 //       {"combo": "T_N_N", "shape": "random", "variant": "", "cells": 10,

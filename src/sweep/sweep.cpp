@@ -139,6 +139,7 @@ CellResult run_cell(const Cell& cell, const workload::WorkloadShape& shape,
   result.accept_ratio = outcome.accept_ratio;
   result.deadline_misses = outcome.deadline_misses;
   result.aperiodic_response_ms = outcome.aperiodic_response_ms;
+  result.undecided = outcome.undecided;
   result.reconfig_applied = outcome.reconfig_applied;
   result.reconfig_rejected = outcome.reconfig_rejected;
   result.wall_ms = outcome.wall_ms;

@@ -77,6 +77,9 @@ struct CellResult {
   std::uint64_t deadline_misses = 0;
   /// Mean end-to-end response over the aperiodic tasks' per-task means.
   double aperiodic_response_ms = 0.0;
+  /// Arrivals neither released nor rejected at the end of the run
+  /// (scenario::ScenarioResult::undecided); reported only when nonzero.
+  std::uint64_t undecided = 0;
   /// Host wall time of the cell simulation (non-deterministic; excluded
   /// from the deterministic report form).
   double wall_ms = 0.0;

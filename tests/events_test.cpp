@@ -5,24 +5,31 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <utility>
 #include <vector>
 
 #include "events/event.h"
 #include "events/federated_channel.h"
+#include "events/placement_table.h"
+#include "sched/load_balancer.h"
+#include "sched/utilization_ledger.h"
 #include "events/local_channel.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "test_helpers.h"
 #include "util/rng.h"
 
 namespace rtcm::events {
 namespace {
 
+using rtcm::testing::placed;
+
 Event make_trigger(ProcessorId source, TaskId task, std::size_t stage,
-                   std::vector<ProcessorId> placement) {
+                   Placement placement) {
   return Event{source, Time(0),
-               TriggerPayload{task, JobId(1), stage, std::move(placement),
-                              Time(1000000), Time(0)}};
+               TriggerPayload{task, JobId(1), stage, placement, Time(1000000),
+                              Time(0)}};
 }
 
 // --- Event -------------------------------------------------------------------
@@ -63,13 +70,113 @@ TEST(EventTest, ToStringMentionsTypeAndIds) {
 
 TEST(RouteKeyTest, EventKeyedByTypeOrStage) {
   EXPECT_EQ(RouteKey::of(make_trigger(ProcessorId(0), TaskId(3), 2,
-                                      {ProcessorId(0)})),
+                                      placed({ProcessorId(0)}))),
             RouteKey::trigger(TaskId(3), 2));
   EXPECT_EQ(RouteKey::of(Event{ProcessorId(0), Time(0), AcceptPayload{}}),
             RouteKey::of(EventType::kAccept));
   EXPECT_NE(RouteKey::trigger(TaskId(3), 2), RouteKey::trigger(TaskId(3), 1));
   EXPECT_NE(RouteKey::of(EventType::kAccept),
             RouteKey::of(EventType::kReject));
+}
+
+// --- PlacementTable ----------------------------------------------------------
+
+TEST(PlacementTableTest, EqualPlacementsShareOneEntry) {
+  PlacementTable table;
+  const std::vector<ProcessorId> a{ProcessorId(1), ProcessorId(2)};
+  const std::vector<ProcessorId> same{ProcessorId(1), ProcessorId(2)};
+  const std::vector<ProcessorId> reversed{ProcessorId(2), ProcessorId(1)};
+  const std::vector<ProcessorId> prefix{ProcessorId(1)};
+
+  const Placement first = table.intern(a);
+  EXPECT_TRUE(std::ranges::equal(first, a));
+  EXPECT_NE(first.data(), a.data());  // the table holds its own copy
+  const Placement again = table.intern(same);
+  EXPECT_EQ(again.data(), first.data());
+  EXPECT_EQ(again.size(), first.size());
+  EXPECT_NE(table.intern(reversed).data(), first.data());
+  EXPECT_NE(table.intern(prefix).data(), first.data());
+  EXPECT_EQ(table.size(), 3u);
+  // Re-interning an interned span is the identity.
+  EXPECT_EQ(table.intern(first).data(), first.data());
+  EXPECT_EQ(table.size(), 3u);
+  // The empty placement is never stored.
+  EXPECT_TRUE(table.intern({}).empty());
+  EXPECT_EQ(table.size(), 3u);
+}
+
+TEST(PlacementTableTest, SpansStayValidWhileTheTableGrows) {
+  // Events in flight keep their spans while later admissions intern new
+  // placements; growth (index rehash, new storage blocks) must not move
+  // or free an entry.
+  PlacementTable table;
+  std::vector<std::vector<ProcessorId>> originals;
+  std::vector<Placement> spans;
+  Rng rng(5);
+  for (int i = 0; i < 5000; ++i) {
+    std::vector<ProcessorId> p;
+    p.emplace_back(i);  // distinct by construction
+    const auto extra = rng.uniform_int(0, 7);
+    for (std::int64_t k = 0; k < extra; ++k) {
+      p.emplace_back(static_cast<std::int32_t>(rng.uniform_int(0, 80)));
+    }
+    spans.push_back(table.intern(p));
+    originals.push_back(std::move(p));
+  }
+  ASSERT_EQ(table.size(), originals.size());
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    ASSERT_TRUE(std::ranges::equal(spans[i], originals[i])) << i;
+    ASSERT_EQ(table.intern(originals[i]).data(), spans[i].data()) << i;
+  }
+}
+
+TEST(PlacementTableTest, SizeBoundedByDistinctPlacementsUnderPerJobBalancing) {
+  // 10^4 LB-per-job decisions for three replicated tasks against a churning
+  // ledger: the table grows with the distinct placements the balancer
+  // produces, not with the number of jobs.
+  const sched::TaskSpec tasks[] = {
+      rtcm::testing::make_periodic(0, Duration::milliseconds(100),
+                                   {{0, 20000, {1, 2}}, {1, 10000, {3}}}),
+      rtcm::testing::make_periodic(
+          1, Duration::milliseconds(200),
+          {{2, 30000, {0}}, {3, 20000, {1, 2}}, {0, 10000, {4}}}),
+      rtcm::testing::make_aperiodic(2, Duration::milliseconds(300),
+                                    {{4, 50000, {0, 1, 2, 3}}})};
+  std::size_t bound = 0;  // every candidate combination of every task
+  for (const sched::TaskSpec& task : tasks) {
+    std::size_t combos = 1;
+    for (const sched::SubtaskSpec& st : task.subtasks) {
+      combos *= st.candidate_count();
+    }
+    bound += combos;
+  }
+
+  PlacementTable table;
+  sched::LoadBalancer balancer;
+  sched::UtilizationLedger ledger;
+  std::vector<sched::ContributionId> live;
+  std::set<std::vector<ProcessorId>> distinct;
+  std::vector<ProcessorId> out;
+  Rng rng(11);
+  for (int decision = 0; decision < 10000; ++decision) {
+    if (live.size() > 20 || (!live.empty() && rng.uniform_int(0, 2) == 0)) {
+      const auto victim = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+      (void)ledger.remove(live[victim]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+    }
+    const sched::TaskSpec& task = tasks[decision % 3];
+    balancer.place(task, ledger, out);
+    const Placement interned = table.intern(out);
+    ASSERT_TRUE(std::ranges::equal(interned, out));
+    distinct.emplace(out.begin(), out.end());
+    for (std::size_t j = 0; j < out.size(); ++j) {
+      live.push_back(ledger.add(out[j], task.subtask_utilization(j)));
+    }
+  }
+  EXPECT_EQ(table.size(), distinct.size());
+  EXPECT_LE(table.size(), bound);
+  EXPECT_GT(table.size(), 3u);  // the balancer really did move stages
 }
 
 // --- LocalEventChannel -------------------------------------------------------
@@ -79,7 +186,8 @@ TEST(LocalChannelTest, DeliversToMatchingType) {
   int hits = 0;
   channel.subscribe(RouteKey::trigger(TaskId(1), 0),
                     [&](const Event&) { ++hits; });
-  channel.deliver(make_trigger(ProcessorId(0), TaskId(1), 0, {ProcessorId(0)}));
+  channel.deliver(
+      make_trigger(ProcessorId(0), TaskId(1), 0, placed({ProcessorId(0)})));
   channel.deliver(Event{ProcessorId(0), Time(0), AcceptPayload{}});
   EXPECT_EQ(hits, 1);
   EXPECT_EQ(channel.delivered_count(), 1u);
@@ -201,7 +309,7 @@ TEST_F(FederationFixture, RoutesOnlyToInterestedChannels) {
 
   federation_.push(ProcessorId(0),
                    TriggerPayload{TaskId(1), JobId(1), 0,
-                                  {ProcessorId(1)}, Time(1000), Time(0)});
+                                  placed({ProcessorId(1)}), Time(1000), Time(0)});
   sim_.run_all();
   EXPECT_EQ(p1_hits, 1);
   EXPECT_EQ(p2_hits, 0);
@@ -218,7 +326,7 @@ TEST_F(FederationFixture, RemoteDeliveryIncursLatency) {
                  [&](const Event&) { delivered = sim_.now(); });
   federation_.push(ProcessorId(0),
                    AcceptPayload{TaskId(1), JobId(1), ProcessorId(1),
-                                 {ProcessorId(1)}, Time(99), false});
+                                 placed({ProcessorId(1)}), Time(99), false});
   sim_.run_all();
   EXPECT_EQ(delivered, Time(322));
 }
@@ -230,7 +338,7 @@ TEST_F(FederationFixture, LocalDeliveryUsesLoopback) {
                  [&](const Event&) { delivered = sim_.now(); });
   federation_.push(ProcessorId(0),
                    AcceptPayload{TaskId(1), JobId(1), ProcessorId(0),
-                                 {ProcessorId(0)}, Time(99), false});
+                                 placed({ProcessorId(0)}), Time(99), false});
   sim_.run_all();
   EXPECT_EQ(delivered, Time(0));  // loopback latency configured as zero
   EXPECT_EQ(federation_.stats().local_deliveries, 1u);
@@ -257,7 +365,7 @@ TEST_F(FederationFixture, PublishedTimestampIsPushTime) {
   sim_.schedule_at(Time(500), [&] {
     federation_.push(ProcessorId(0),
                      AcceptPayload{TaskId(1), JobId(1), ProcessorId(1),
-                                   {ProcessorId(1)}, Time(99), false});
+                                   placed({ProcessorId(1)}), Time(99), false});
   });
   sim_.run_all();
   EXPECT_EQ(published, Time(500));
@@ -282,7 +390,7 @@ TEST_F(FederationFixture, AcceptGoesToArrivalAndFirstStageInProcessorOrder) {
   }
   federation_.push(ProcessorId(0),
                    AcceptPayload{TaskId(1), JobId(1), ProcessorId(3),
-                                 {ProcessorId(1), ProcessorId(2)}, Time(99),
+                                 placed({ProcessorId(1), ProcessorId(2)}), Time(99),
                                  false});
   sim_.run_all();
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
@@ -292,7 +400,7 @@ TEST_F(FederationFixture, AcceptGoesToArrivalAndFirstStageInProcessorOrder) {
   order.clear();
   federation_.push(ProcessorId(0),
                    AcceptPayload{TaskId(1), JobId(2), ProcessorId(2),
-                                 {ProcessorId(2)}, Time(99), false});
+                                 placed({ProcessorId(2)}), Time(99), false});
   sim_.run_all();
   EXPECT_EQ(order, (std::vector<int>{2}));
   EXPECT_EQ(network_.stats().messages_sent, 3u);
@@ -304,7 +412,7 @@ TEST_F(FederationFixture, AddressedChannelWithoutSubscriptionGetsNoMessage) {
       .subscribe(RouteKey::trigger(TaskId(1), 0), [](const Event&) {});
   federation_.push(ProcessorId(0),
                    TriggerPayload{TaskId(1), JobId(1), 1,
-                                  {ProcessorId(1), ProcessorId(1)},
+                                  placed({ProcessorId(1), ProcessorId(1)}),
                                   Time(1000), Time(0)});
   // A stage past the placement addresses no processor at all.
   federation_.push(ProcessorId(0),
@@ -525,10 +633,10 @@ TEST(KeyedRoutingTest, ReplaysThePredicateFloodExactly) {
         payload = TriggerPayload{
             task, job,
             static_cast<std::size_t>(rng.uniform_int(0, kStages)),
-            random_placement(), Time(1000000), Time(0)};
+            placed(random_placement()), Time(1000000), Time(0)};
       } else if (roll < 65) {
         payload = AcceptPayload{task, job, ProcessorId(random_proc()),
-                                random_placement(), Time(1000000),
+                                placed(random_placement()), Time(1000000),
                                 rng.uniform_int(0, 1) == 1};
       } else if (roll < 75) {
         payload = RejectPayload{task, job, ProcessorId(random_proc())};

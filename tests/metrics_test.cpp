@@ -57,7 +57,7 @@ TEST(MetricsTest, CompletionComputesResponseFromArrival) {
   metrics.on_arrival(task, JobId(1), Time(Duration::milliseconds(10).usec()));
   metrics.on_release(task, JobId(1), Time(Duration::milliseconds(11).usec()));
   metrics.job_completed(task.id, JobId(1),
-                        Time(Duration::milliseconds(11).usec()),
+                        Time(Duration::milliseconds(10).usec()),
                         Time(Duration::milliseconds(70).usec()),
                         Time(Duration::milliseconds(110).usec()));
   const auto& tm = metrics.per_task().at(task.id);
@@ -100,13 +100,19 @@ TEST(MetricsTest, IdleResetAccounting) {
   EXPECT_EQ(metrics.subjobs_reset(), 5u);
 }
 
-TEST(MetricsTest, CompletionOfUnknownJobIsSafe) {
+TEST(MetricsTest, ResponseIsCompletionMinusCarriedArrival) {
+  // The collector keeps no per-job state: the arrival instant rides the
+  // job's events to the completion, so a completion alone yields the
+  // response sample — even for a job whose arrival it never saw.
   MetricsCollector metrics;
-  // A completion whose arrival was never recorded (e.g. harness-driven)
-  // still counts but records no response sample.
-  metrics.job_completed(TaskId(0), JobId(99), Time(0), Time(10), Time(20));
-  EXPECT_EQ(metrics.total().completions, 1u);
-  EXPECT_EQ(metrics.total().response_ms.count(), 0u);
+  metrics.job_completed(TaskId(0), JobId(99), Time(4000), Time(10000),
+                        Time(20000));
+  metrics.job_completed(TaskId(0), JobId(100), Time(5000), Time(7000),
+                        Time(20000));
+  EXPECT_EQ(metrics.total().completions, 2u);
+  EXPECT_EQ(metrics.total().response_ms.count(), 2u);
+  EXPECT_DOUBLE_EQ(metrics.total().response_ms.min(), 2.0);
+  EXPECT_DOUBLE_EQ(metrics.total().response_ms.max(), 6.0);
 }
 
 TEST(MetricsTest, RenderMentionsEveryTask) {

@@ -398,6 +398,31 @@ TEST(ScenarioRun, NoneArrivalModelRunsZeroJobs) {
   EXPECT_EQ(result.value().accept_ratio, 1.0);  // nothing arrived
 }
 
+// Regression: with a one-way network delay of 2^62 us no Task Arrive event
+// reaches the AC before the run ends, so no arrival is ever decided.  Such
+// a run used to look like a clean cell that admitted nothing ("accept
+// ratio 0.0000, arrivals / rejections 70 / 0"); it now reports every
+// arrival as undecided.
+TEST(ScenarioRun, UnreachableAdmissionLeavesEveryArrivalUndecided) {
+  auto spec = small_generated_spec();
+  spec.config.comm_latency = Duration(std::int64_t{1} << 62);
+  auto result = scenario::run_scenario(spec);
+  ASSERT_TRUE(result.is_ok()) << result.message();
+  const scenario::ScenarioResult& outcome = result.value();
+  EXPECT_GT(outcome.arrivals, 0u);
+  EXPECT_EQ(outcome.releases, 0u);
+  EXPECT_EQ(outcome.rejections, 0u);
+  EXPECT_EQ(outcome.undecided, outcome.arrivals);
+  EXPECT_EQ(outcome.accept_ratio, 0.0);
+
+  // A well-formed run decides every arrival.
+  auto clean = scenario::run_scenario(small_generated_spec());
+  ASSERT_TRUE(clean.is_ok()) << clean.message();
+  EXPECT_EQ(clean.value().undecided, 0u);
+  EXPECT_EQ(clean.value().arrivals,
+            clean.value().releases + clean.value().rejections);
+}
+
 TEST(ScenarioRun, BurstyModelStressesAdmission) {
   auto spec = small_generated_spec();
   workload::BurstShape burst;

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <set>
+#include <unordered_map>
+#include <vector>
 
 #include "sched/edms.h"
 #include "sched/load_balancer.h"
@@ -250,6 +253,102 @@ TEST_P(GeneratedWorkloadTest, LowestUtilPlacementStaysWithinReplicaSets) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GeneratedWorkloadTest,
                          ::testing::Values(41, 42, 43));
+
+// --- Placement equivalence ---------------------------------------------------
+
+/// The balancer as it was before placements were written into caller
+/// storage: earlier stages' load kept in a per-call unordered_map.  The
+/// in-place sum must reproduce it bit for bit.
+std::vector<ProcessorId> reference_place(PlacementPolicy policy,
+                                         const TaskSpec& task,
+                                         const UtilizationLedger& ledger,
+                                         Rng* pick_rng) {
+  std::vector<ProcessorId> placement;
+  std::unordered_map<ProcessorId, double> pending;
+  for (std::size_t j = 0; j < task.subtasks.size(); ++j) {
+    const SubtaskSpec& st = task.subtasks[j];
+    ProcessorId chosen = st.primary;
+    switch (policy) {
+      case PlacementPolicy::kPrimaryOnly:
+        break;
+      case PlacementPolicy::kRandomReplica: {
+        const auto candidates = st.candidates();
+        if (candidates.size() > 1 && pick_rng != nullptr) {
+          chosen = candidates[pick_rng->index(candidates.size())];
+        }
+        break;
+      }
+      case PlacementPolicy::kLowestUtilization: {
+        double best = std::numeric_limits<double>::infinity();
+        for (const ProcessorId p : st.candidates()) {
+          double u = ledger.total(p);
+          if (const auto it = pending.find(p); it != pending.end()) {
+            u += it->second;
+          }
+          if (u < best) {
+            best = u;
+            chosen = p;
+          }
+        }
+        break;
+      }
+    }
+    pending[chosen] += task.subtask_utilization(j);
+    placement.push_back(chosen);
+  }
+  return placement;
+}
+
+TEST(LoadBalancerEquivalenceTest, MatchesPerCallMapAlgorithmBitForBit) {
+  // Random chains over 6 processors whose stages share candidates, against
+  // ledgers drawn from a coarse grid so that ties and pending-load sums
+  // decide many stages.  Placements are written into one reused buffer.
+  for (const PlacementPolicy policy :
+       {PlacementPolicy::kLowestUtilization, PlacementPolicy::kPrimaryOnly,
+        PlacementPolicy::kRandomReplica}) {
+    Rng rng(20 + static_cast<std::uint64_t>(policy));
+    Rng pick_new(7);
+    Rng pick_ref(7);
+    LoadBalancer balancer(policy);
+    if (policy == PlacementPolicy::kRandomReplica) {
+      balancer.set_random_pick(
+          [&pick_new](std::size_t n) { return pick_new.index(n); });
+    }
+    std::vector<ProcessorId> out;
+    for (int trial = 0; trial < 2000; ++trial) {
+      UtilizationLedger ledger;
+      for (std::int32_t p = 0; p < 6; ++p) {
+        const auto steps = rng.uniform_int(-1, 4);  // -1: never seen
+        if (steps >= 0) {
+          (void)ledger.add(ProcessorId(p), 0.1 * static_cast<double>(steps));
+        }
+      }
+      std::vector<rtcm::testing::StageSpec> stages;
+      const auto count = rng.uniform_int(1, 6);
+      for (std::int64_t j = 0; j < count; ++j) {
+        rtcm::testing::StageSpec stage{
+            static_cast<std::int32_t>(rng.uniform_int(0, 5)),
+            rng.uniform_int(1, 40) * 1000, {}};
+        for (std::int32_t r = 0; r < 6; ++r) {
+          if (r != stage.primary && rng.uniform_int(0, 2) == 0) {
+            stage.replicas.push_back(r);
+          }
+        }
+        stages.push_back(std::move(stage));
+      }
+      const TaskSpec task =
+          make_periodic(trial, Duration::milliseconds(rng.uniform_int(50, 400)),
+                        stages);
+
+      balancer.place(task, ledger, out);
+      const std::vector<ProcessorId> expected = reference_place(
+          policy, task, ledger,
+          policy == PlacementPolicy::kRandomReplica ? &pick_ref : nullptr);
+      ASSERT_EQ(out, expected) << "policy " << static_cast<int>(policy)
+                               << ", trial " << trial;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace rtcm::sched

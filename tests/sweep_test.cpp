@@ -207,6 +207,28 @@ TEST(SweepReport, ReconfigCountersSurviveJsonRoundTrip) {
             std::string::npos);
 }
 
+TEST(SweepReport, UndecidedSurvivesJsonRoundTripAndIsOmittedWhenZero) {
+  std::vector<sweep::CellResult> cells(2);
+  cells[0].cell = {"J_J_J", "s", "", 1};
+  cells[0].undecided = 70;
+  cells[1].cell = {"J_J_J", "s", "", 2};
+  const sweep::Report report = report_of("conservation", std::move(cells));
+
+  const std::string bytes = report.to_json().dump();
+  const auto parsed = json::Value::parse(bytes);
+  ASSERT_TRUE(parsed.is_ok());
+  const auto restored = sweep::Report::from_json(parsed.value());
+  ASSERT_TRUE(restored.is_ok()) << restored.message();
+  EXPECT_EQ(restored.value().cells[0].undecided, 70u);
+  EXPECT_EQ(restored.value().cells[1].undecided, 0u);
+  // Only the nonzero cell carries the key, so clean reports keep their
+  // historical byte layout.
+  const std::string key = "\"undecided\"";
+  const std::size_t first = bytes.find(key);
+  ASSERT_NE(first, std::string::npos);
+  EXPECT_EQ(bytes.find(key, first + 1), std::string::npos);
+}
+
 TEST(SweepEngine, InvalidComboSurfacesAsCellError) {
   const sweep::CellResult direct = sweep::run_cell(
       sweep::Cell{"not-a-combo", "random", "", 1},

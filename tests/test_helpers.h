@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -10,6 +12,7 @@
 #include "config/plan_builder.h"
 #include "core/runtime.h"
 #include "core/strategies.h"
+#include "events/placement_table.h"
 #include "sched/task.h"
 #include "util/rng.h"
 #include "util/time.h"
@@ -17,6 +20,17 @@
 #include "workload/generator.h"
 
 namespace rtcm::testing {
+
+/// A placement for hand-built Accept/Trigger payloads, interned in one
+/// table that lives as long as the test binary, so the events built from
+/// it never outlive their placement.
+inline events::Placement placed(std::span<const ProcessorId> procs) {
+  static events::PlacementTable table;
+  return table.intern(procs);
+}
+inline events::Placement placed(std::initializer_list<ProcessorId> procs) {
+  return placed(std::span<const ProcessorId>(procs.begin(), procs.size()));
+}
 
 struct StageSpec {
   std::int32_t primary;
