@@ -49,6 +49,9 @@ echo "::endgroup::"
 echo "::group::Simulation-kernel layer (unit + alloc labels, determinism)"
 "${CTEST[@]}" -L sim
 "${CTEST[@]}" -R Determinism
+# Fed arrivals against a replay of the per-arrival event path: same traces
+# and metrics on AUB, DS, drain-storm, unsorted and split-batch cells.
+"${CTEST[@]}" -R FeedEquivalence
 echo "::endgroup::"
 
 echo "::group::Scenario API layer (spec round trips, library, validation)"

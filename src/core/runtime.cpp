@@ -227,6 +227,11 @@ Status SystemRuntime::finalize_deployment() {
   }
   if (Status s = bind_components(); !s.is_ok()) return s;
   if (Status s = activate_containers(); !s.is_ok()) return s;
+  for (const sched::TaskSpec& spec : tasks_.tasks()) {
+    arrival_targets_.push_back(
+        {spec.id, te_.at(spec.subtasks.front().primary)});
+  }
+  sim_.set_feed_sink([this](std::uint64_t tag) { arrive(tag); });
   assembled_ = true;
   return Status::ok();
 }
@@ -418,26 +423,49 @@ sim::DeferrableServer* SystemRuntime::deferrable_server(ProcessorId proc) {
 }
 
 Status SystemRuntime::inject_arrival(TaskId task, Time at) {
+  const Arrival arrival{task, at};
+  return inject(std::span<const Arrival>(&arrival, 1));
+}
+
+Status SystemRuntime::inject_arrivals(const std::vector<Arrival>& arrivals) {
+  return inject(arrivals);
+}
+
+Status SystemRuntime::inject(std::span<const Arrival> arrivals) {
   if (!assembled_) {
     return Status::error(
         "inject_arrival: runtime is not assembled (call assemble() first)");
   }
-  const sched::TaskSpec* spec = tasks_.find(task);
-  if (spec == nullptr) {
-    return Status::error("inject_arrival: unknown task " + task.to_string());
+  for (const Arrival& a : arrivals) {
+    if (tasks_.find(a.task) == nullptr) {
+      return Status::error("inject_arrival: unknown task " +
+                           a.task.to_string());
+    }
+    if (a.time < sim_.now()) {
+      return Status::error("inject_arrival: arrival of task " +
+                           a.task.to_string() + " at " +
+                           std::to_string(a.time.usec()) +
+                           "us is before now (" +
+                           std::to_string(sim_.now().usec()) + "us)");
+    }
   }
-  const ProcessorId arrival_proc = spec->subtasks.front().primary;
-  TaskEffector* te = te_.at(arrival_proc);
-  const JobId job(next_job_++);
-  sim_.schedule_at(at, [te, task, job] { te->job_arrived(task, job); });
+  // Each arrival takes the seq a schedule_at would have taken here, so the
+  // feed dispatches it exactly where a per-arrival event used to run.
+  sim_.reserve_feed(arrivals.size());
+  const sched::TaskSpec* first = tasks_.tasks().data();
+  for (const Arrival& a : arrivals) {
+    const auto index = static_cast<std::uint64_t>(tasks_.find(a.task) - first);
+    const auto job = static_cast<std::uint32_t>(next_job_++);
+    sim_.feed(a.time, std::uint64_t{job} << 32 | index);
+  }
   return Status::ok();
 }
 
-Status SystemRuntime::inject_arrivals(const std::vector<Arrival>& arrivals) {
-  for (const Arrival& a : arrivals) {
-    if (Status s = inject_arrival(a.task, a.time); !s.is_ok()) return s;
-  }
-  return Status::ok();
+void SystemRuntime::arrive(std::uint64_t tag) {
+  const ArrivalTarget& target =
+      arrival_targets_[static_cast<std::uint32_t>(tag)];
+  target.te->job_arrived(target.task,
+                         JobId(static_cast<std::int32_t>(tag >> 32)));
 }
 
 }  // namespace rtcm::core

@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -98,10 +99,13 @@ class SystemRuntime {
 
   // --- Driving -------------------------------------------------------------
 
-  /// Schedule a job arrival; ids are assigned in injection order.  Errors
-  /// (runtime not assembled, unknown task) are reported instead of UB.
+  /// Feed a job arrival to the simulator; ids are assigned in injection
+  /// order.  Errors (runtime not assembled, unknown task, an instant before
+  /// now) are reported instead of UB.
   [[nodiscard]] Status inject_arrival(TaskId task, Time at);
-  /// Inject a whole trace; stops at the first rejected arrival.
+  /// Inject a whole trace, in any order (equal instants keep input order).
+  /// Every arrival is checked first: a refused trace injects nothing and
+  /// leaves the runtime unchanged.
   [[nodiscard]] Status inject_arrivals(const std::vector<Arrival>& arrivals);
   void run_until(Time horizon) { sim_.run_until(horizon); }
   void run_for(Duration d) { sim_.run_until(sim_.now() + d); }
@@ -174,6 +178,9 @@ class SystemRuntime {
   /// Populate ac_/lb_/te_/ir_ pointers by scanning the containers.
   [[nodiscard]] Status bind_components();
   [[nodiscard]] Status activate_containers();
+  [[nodiscard]] Status inject(std::span<const Arrival> arrivals);
+  /// The simulator's feed sink: one injected arrival reaching its TE.
+  void arrive(std::uint64_t tag);
 
   SystemConfig config_;
   sched::TaskSet tasks_;
@@ -200,6 +207,13 @@ class SystemRuntime {
   LoadBalancerComponent* lb_ = nullptr;
   std::map<ProcessorId, TaskEffector*> te_;
   std::map<ProcessorId, IdleResetter*> ir_;
+  /// Where each task's jobs arrive, indexed like tasks_.tasks(); a fed
+  /// arrival's tag holds (job id << 32 | task index).
+  struct ArrivalTarget {
+    TaskId task;
+    TaskEffector* te;
+  };
+  std::vector<ArrivalTarget> arrival_targets_;
 
   std::int32_t next_job_ = 0;
   bool assembled_ = false;

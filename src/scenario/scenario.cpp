@@ -124,6 +124,30 @@ Status validate(const ScenarioSpec& spec) {
   } else if (spec.workload.tasks.empty()) {
     return Status::error("explicit workload has no tasks");
   }
+  // The run starts at the epoch; an earlier arrival cannot be simulated.
+  if (spec.arrivals.kind == ArrivalModel::Kind::kBursty) {
+    const workload::BurstShape& burst = spec.arrivals.burst;
+    const std::pair<const char*, std::int64_t> fields[] = {
+        {"start_us", burst.start.usec()},
+        {"intra_gap_us", burst.intra_gap.usec()},
+        {"inter_gap_us", burst.inter_gap.usec()}};
+    for (const auto& [field, value] : fields) {
+      if (value < 0) {
+        return Status::error(std::string("arrivals.") + field +
+                             " is negative (" + std::to_string(value) + ")");
+      }
+    }
+  }
+  if (spec.arrivals.kind == ArrivalModel::Kind::kTrace) {
+    for (std::size_t i = 0; i < spec.arrivals.trace.size(); ++i) {
+      const Time at = spec.arrivals.trace[i].time;
+      if (at < Time::epoch()) {
+        return Status::error("arrivals.trace[" + std::to_string(i) +
+                             "].at_us is negative (" +
+                             std::to_string(at.usec()) + ")");
+      }
+    }
+  }
   for (const config::ModeChange& change : spec.reconfig) {
     if (change.strategies.has_value() && !change.strategies->valid()) {
       return Status::error("reconfig step '" + change.label +

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <limits>
 #include <utility>
 
 namespace rtcm::sim {
@@ -93,7 +94,7 @@ bool Simulator::wheel_settle() {
   // Fast path: a live entry already at the head of the sorted due batch.
   while (due_idx_ < due_.size()) {
     if (!entry_dead(due_[due_idx_])) {
-      wheel_front_time_ = due_[due_idx_].time_usec;
+      wheel_front_ = {due_[due_idx_].time_usec, due_[due_idx_].seq};
       return true;
     }
     ++due_idx_;
@@ -148,7 +149,7 @@ bool Simulator::wheel_settle() {
         }
       }
       if (best != nullptr) {
-        wheel_front_time_ = best->time_usec;
+        wheel_front_ = {best->time_usec, best->seq};
         return true;
       }
       wheel_purge_bucket(l, slot);
@@ -163,9 +164,11 @@ bool Simulator::wheel_settle() {
 
 void Simulator::wheel_dispatch_front() {
   // wheel_settle() has already run: the earliest live event is at
-  // wheel_front_time_.  Commit time first; the cascade then guarantees the
-  // front sits either at the head of due_ or in level 0's path bucket.
-  if (wheel_front_time_ != now_.usec()) wheel_advance(Time(wheel_front_time_));
+  // wheel_front_.  Commit time first; the cascade then guarantees the front
+  // sits either at the head of due_ or in level 0's path bucket.
+  if (wheel_front_.time_usec != now_.usec()) {
+    wheel_advance(Time(wheel_front_.time_usec));
+  }
   for (;;) {
     if (due_idx_ < due_.size()) {
       const Entry e = due_[due_idx_];
@@ -206,7 +209,7 @@ void Simulator::wheel_dispatch_front() {
     // reaches level 0 before any later-seq entry for its instant can be
     // placed there directly.  Dead entries keep that order too, and those
     // left from older laps carry earlier times and earlier seqs.
-    assert(std::is_sorted(due_.begin(), due_.end(), before));
+    assert(std::is_sorted(due_.begin(), due_.end(), before<Entry, Entry>));
   }
 }
 
@@ -276,17 +279,73 @@ bool Simulator::reschedule(EventHandle& handle, Time at) {
   return true;
 }
 
-bool Simulator::step() {
-  if (!wheel_settle()) return false;
+void Simulator::set_feed_sink(FeedSink sink) { feed_sink_ = std::move(sink); }
+
+void Simulator::reclaim_feed() {
+  feed_.erase(feed_.begin(),
+              feed_.begin() + static_cast<std::ptrdiff_t>(feed_idx_));
+  feed_idx_ = 0;
+}
+
+void Simulator::reserve_feed(std::size_t n) {
+  reclaim_feed();
+  feed_.reserve(feed_.size() + n);
+}
+
+void Simulator::feed(Time at, std::uint64_t tag) {
+  assert(at >= now_ && "cannot feed an event in the past");
+  // A full vector drops its consumed prefix before it regrows.
+  if (feed_.size() == feed_.capacity() && feed_idx_ != 0) reclaim_feed();
+  const FeedRecord record{at.usec(), next_seq_++, tag};
+  // The new seq is the largest, so only an earlier time breaks the order.
+  if (feed_idx_ < feed_.size() && record.time_usec < feed_.back().time_usec) {
+    feed_sorted_ = false;
+  }
+  feed_.push_back(record);
+}
+
+void Simulator::feed_dispatch_front() {
+  const FeedRecord record = feed_[feed_idx_];
+  if (++feed_idx_ == feed_.size()) {
+    feed_.clear();  // keeps capacity for the next batch
+    feed_idx_ = 0;
+  }
+  if (record.time_usec != now_.usec()) wheel_advance(Time(record.time_usec));
+  assert(feed_sink_ && "fed event without a feed sink");
+  ++executed_;
+  feed_sink_(record.tag);
+}
+
+bool Simulator::dispatch_next(std::int64_t deadline) {
+  // Settle once per dispatch: wheel_dispatch_front assumes a settled front,
+  // so the dead-entry scan runs exactly once per event.
+  const bool wheel = wheel_settle();
+  if (feed_idx_ < feed_.size()) {
+    if (!feed_sorted_) {
+      // Seqs are unique, so sorting the remainder by (time, seq) merges
+      // the out-of-order appends into it exactly.
+      reclaim_feed();
+      std::sort(feed_.begin(), feed_.end(), before<FeedRecord, FeedRecord>);
+      feed_sorted_ = true;
+    }
+    const FeedRecord& front = feed_[feed_idx_];
+    if (!wheel || before(front, wheel_front_)) {
+      if (front.time_usec > deadline) return false;
+      feed_dispatch_front();
+      return true;
+    }
+  }
+  if (!wheel || wheel_front_.time_usec > deadline) return false;
   wheel_dispatch_front();
   return true;
 }
 
+bool Simulator::step() {
+  return dispatch_next(std::numeric_limits<std::int64_t>::max());
+}
+
 void Simulator::run_until(Time deadline) {
-  // Settle once per dispatch: wheel_dispatch_front assumes a settled front,
-  // so the dead-entry scan runs exactly once per event.
-  while (wheel_settle() && Time(wheel_front_time_) <= deadline) {
-    wheel_dispatch_front();
+  while (dispatch_next(deadline.usec())) {
   }
   // Commit the horizon through wheel_advance, not a bare assignment: the
   // digit path must stay cascaded for every observable now_.

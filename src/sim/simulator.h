@@ -33,10 +33,23 @@
 //     when dead entries outnumber live ones the buckets are swept in place,
 //     keeping stored entries O(live) at O(1) amortized cost.
 //
+// Beside the wheel sits a second ordered source, the feed: a sorted run of
+// fixed-size records (time, seq, 64-bit tag) that all dispatch through one
+// sink callback.  Bulk external input — the arrival trace a run is
+// driven by — goes there instead of into the wheel, so an arrival costs
+// one 24-byte record instead of a slab slot, a callback and a wheel entry
+// that cascades down the levels.  A fed record takes the seq a
+// schedule_at at the same moment would have taken, and dispatch takes
+// whichever front is earlier by (time, seq), so feeding an event instead
+// of scheduling it changes nothing about the order.  Records are appended
+// in any order; the remainder is re-sorted only when an append breaks its
+// order, and the consumed prefix is reclaimed so capacity is reused.
+//
 // Dispatch order is exactly the historical (time, seq) contract: seq is
-// consumed once per schedule/reschedule, so traces stay byte-identical.
-// tests/sim_kernel_test.cpp replays randomized churn against an
-// independent reference queue to hold the wheel to that contract.
+// consumed once per schedule/reschedule/feed, so traces stay
+// byte-identical.  tests/sim_kernel_test.cpp replays randomized churn,
+// feed batches included, against an independent reference queue to hold
+// the kernel to that contract.
 #pragma once
 
 #include <array>
@@ -53,6 +66,10 @@ namespace rtcm::sim {
 /// per-destination event copy, 88 bytes); larger captures fall back to one
 /// heap allocation.
 using EventFn = InlineFunction<void(), 88>;
+
+/// Callback every fed event dispatches through; it receives the record's
+/// tag.
+using FeedSink = InlineFunction<void(std::uint64_t), 16>;
 
 /// Identifies one scheduled event for cancellation or rescheduling.  A
 /// handle is a (slot, generation) pair: the slot's generation moves on when
@@ -104,6 +121,20 @@ class Simulator {
   /// to schedule_at.
   bool reschedule(EventHandle& handle, Time at);
 
+  /// Install the sink that runs fed events.  Set it before the first fed
+  /// event dispatches; replacing it affects only records not yet run.
+  void set_feed_sink(FeedSink sink);
+
+  /// Make room for `n` more fed events, reclaiming the consumed prefix, so
+  /// a batch of known size appends without regrowing.
+  void reserve_feed(std::size_t n);
+
+  /// Feed an event at `at` (>= now) that runs the feed sink with `tag`.  It
+  /// consumes the next seq exactly as schedule_at would, so it dispatches
+  /// where a scheduled event would have; it has no slot, callback or
+  /// handle, and cannot be cancelled or rescheduled.
+  void feed(Time at, std::uint64_t tag);
+
   /// Run a single event; returns false if the queue is empty.
   bool step();
 
@@ -115,20 +146,30 @@ class Simulator {
   /// Run until the event queue drains completely.
   void run_all();
 
-  /// Number of pending (scheduled and not cancelled) events.
-  [[nodiscard]] std::size_t pending() const { return live_; }
+  /// Number of pending events: scheduled and not cancelled, or fed and
+  /// not yet run.
+  [[nodiscard]] std::size_t pending() const {
+    return live_ + (feed_.size() - feed_idx_);
+  }
 
-  /// Total events executed since construction.
+  /// Total events executed since construction, fed ones included.
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
-  /// Entries currently stored in the ordering structure (live + lazily
-  /// dead).  Exposed so tests can pin the compaction bound: cancel or
-  /// reschedule storms must keep this O(pending()), not O(total churn).
+  /// Entries currently stored in the wheel (live + lazily dead); fed
+  /// records are not counted.  Exposed so tests can pin the compaction
+  /// bound: cancel or reschedule storms must keep this O(pending()), not
+  /// O(total churn).
   [[nodiscard]] std::size_t queue_entries() const {
     return live_ + wheel_dead_;
   }
 
  private:
+  /// A dispatch-order key.
+  struct Key {
+    std::int64_t time_usec;
+    std::uint64_t seq;
+  };
+
   /// One queue entry: the ordering key plus the slot the callback lives in.
   /// `gen` snapshots the slot generation at (re)schedule time; a mismatch
   /// when the entry surfaces means the event was cancelled or rescheduled.
@@ -144,6 +185,13 @@ class Simulator {
     std::uint32_t gen = 0;
   };
 
+  /// One fed event.
+  struct FeedRecord {
+    std::int64_t time_usec;
+    std::uint64_t seq;
+    std::uint64_t tag;
+  };
+
   // Wheel geometry: 11 levels of 64 buckets.  Level l holds events whose
   // time first differs from now in base-64 digit l, i.e. between 64^l and
   // 64^(l+1) microseconds of shared-prefix distance.  11 * 6 = 66 bits
@@ -155,7 +203,9 @@ class Simulator {
   static_assert(kSlotBits * kWheelLevels >= 63,
                 "the wheel must span every non-negative int64 instant");
 
-  [[nodiscard]] static bool before(const Entry& a, const Entry& b) {
+  /// The (time, seq) order both sources dispatch in.
+  template <typename A, typename B>
+  [[nodiscard]] static bool before(const A& a, const B& b) {
     return a.time_usec != b.time_usec ? a.time_usec < b.time_usec
                                       : a.seq < b.seq;
   }
@@ -181,11 +231,19 @@ class Simulator {
   /// Discard an entire bucket of dead entries.
   void wheel_purge_bucket(int level, std::uint64_t slot);
   /// Settle the wheel on its earliest live event: skips dead entries and
-  /// leaves the front's time in wheel_front_time_.  Returns false when no
-  /// live event remains.
+  /// leaves the front's key in wheel_front_.  Returns false when no live
+  /// event remains.
   bool wheel_settle();
   /// Run the (settled, live) front event; advances now_ to it first.
   void wheel_dispatch_front();
+
+  /// Drop the consumed prefix of feed_.
+  void reclaim_feed();
+  /// Run the front fed record; advances now_ to it first.
+  void feed_dispatch_front();
+  /// Run the earliest pending event of either source if it is due at or
+  /// before `deadline`; returns false, running nothing, otherwise.
+  bool dispatch_next(std::int64_t deadline);
 
   std::uint32_t acquire_slot(EventFn fn);
   void release_slot(std::uint32_t slot);
@@ -213,8 +271,16 @@ class Simulator {
   std::size_t due_idx_ = 0;
   /// Dead entries currently stored across buckets and the due_ tail.
   std::size_t wheel_dead_ = 0;
-  /// Time of the live front event found by wheel_settle().
-  std::int64_t wheel_front_time_ = 0;
+  /// Key of the live front event found by wheel_settle().
+  Key wheel_front_{};
+
+  /// Fed records; [feed_idx_, end) are pending.  feed_sorted_ says whether
+  /// that range is in (time, seq) order — cleared by an append that lands
+  /// before its predecessor, restored by a sort at the next dispatch.
+  std::vector<FeedRecord> feed_;
+  std::size_t feed_idx_ = 0;
+  bool feed_sorted_ = true;
+  FeedSink feed_sink_;
 };
 
 }  // namespace rtcm::sim

@@ -207,6 +207,37 @@ TEST(ScenarioValidation, RejectsIntegersWithoutAnInt64Value) {
           .is_ok());
 }
 
+TEST(ScenarioValidation, RejectsArrivalsBeforeTheEpoch) {
+  // A run starts at the epoch.  An arrival before it used to slip past the
+  // kernel's Debug-only "not in the past" assert, and a Release run
+  // reported it as an undecided job under a plausible accept ratio.
+  auto spec = small_generated_spec();
+  spec.arrivals = scenario::ArrivalModel::explicit_trace(
+      {{TaskId(0), Time(100)}, {TaskId(0), Time(-5)}, {TaskId(0), Time(0)}});
+  const Status s = scenario::validate(spec);
+  ASSERT_FALSE(s.is_ok());
+  EXPECT_EQ(s.message(), "arrivals.trace[1].at_us is negative (-5)");
+  EXPECT_FALSE(scenario::run_scenario(spec).is_ok());
+
+  spec.arrivals.trace[1].time = Time(0);  // the epoch itself is fine
+  EXPECT_TRUE(scenario::validate(spec).is_ok());
+
+  // A bursty model reaches the same instants through its start and gaps.
+  workload::BurstShape burst;
+  burst.start = Time(-3000000);
+  spec.arrivals = scenario::ArrivalModel::bursty(burst);
+  EXPECT_EQ(scenario::validate(spec).message(),
+            "arrivals.start_us is negative (-3000000)");
+  burst.start = Time(0);
+  burst.inter_gap = Duration(-1);
+  spec.arrivals = scenario::ArrivalModel::bursty(burst);
+  EXPECT_EQ(scenario::validate(spec).message(),
+            "arrivals.inter_gap_us is negative (-1)");
+  burst.inter_gap = Duration::zero();
+  spec.arrivals = scenario::ArrivalModel::bursty(burst);
+  EXPECT_TRUE(scenario::validate(spec).is_ok());
+}
+
 TEST(ScenarioValidation, RejectsEmptyExplicitWorkload) {
   scenario::ScenarioSpec spec = small_generated_spec();
   spec.workload = scenario::WorkloadSpec::explicit_tasks(sched::TaskSet{});

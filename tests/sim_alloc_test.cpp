@@ -1,11 +1,11 @@
 // Allocation-count tests for the simulation kernel's event path.
 //
-// The kernel's contract is that scheduling, cancelling, rescheduling and
-// dispatching events performs ZERO heap allocations once the slab and the
-// timer wheel's buckets are warm, for any capture within EventFn's inline
-// capacity.  The event channel's push-to-delivery path, the admission book
-// and a whole AUB cell's middleware decision path are held to the same
-// contract.  This binary overrides global operator new/delete with counting
+// The kernel's contract is that scheduling, feeding, cancelling,
+// rescheduling and dispatching events performs ZERO heap allocations once
+// the slab, the feed and the timer wheel's buckets are warm, for any
+// capture within EventFn's inline capacity.  The event channel's
+// push-to-delivery path, the admission book and a whole AUB cell's
+// middleware decision path are held to the same contract.  This binary overrides global operator new/delete with counting
 // pass-throughs and asserts exact deltas around the hot paths — if someone
 // reintroduces a std::function (16-byte inline capacity on libstdc++) or an
 // allocating container on the event path, these tests fail with a nonzero
@@ -170,6 +170,35 @@ TEST(SimAllocTest, OversizedCaptureFallsBackToOneHeapAllocation) {
   });
   EXPECT_EQ(allocs, 1u);  // the capture box; dispatch adds nothing
   EXPECT_EQ(sink, 2u);
+}
+
+TEST(SimAllocTest, FeedIntoWarmedCapacityAndFedDispatchAllocationFree) {
+  Simulator sim;
+  std::uint64_t sink = 0;
+  sim.set_feed_sink([&sim, &sink](std::uint64_t tag) {
+    sink += tag;
+    // A fed event schedules onto the wheel, as the task effector does.
+    if (tag % 4 == 0) {
+      sim.schedule_at(sim.now() + Duration(3), [&sink] { ++sink; });
+    }
+  });
+  const std::uint64_t allocs = measured_allocations(sim, [&] {
+    // An unsorted batch, then a second one merged into its remainder.
+    sim.reserve_feed(2048);
+    for (std::uint64_t i = 0; i < 2048; ++i) {
+      sim.feed(sim.now() + Duration(static_cast<std::int64_t>(
+                               1 + (i * 37) % 4096)),
+               i);
+    }
+    sim.run_until(sim.now() + Duration(1000));
+    for (std::uint64_t i = 0; i < 256; ++i) {
+      sim.feed(sim.now() + Duration(static_cast<std::int64_t>(1 + i * 5)),
+               i);
+    }
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_GT(sink, 0u);
 }
 
 TEST(SimAllocTest, CancelAndLazyDrainAllocationFree) {
@@ -408,8 +437,9 @@ TEST(AdmissionAllocTest, ReserveReleaseChurnAllocationFree) {
 // and events scheduled just below a 64^k-microsecond boundary (a network
 // hop, a completion) land in a level-k bucket that may never have been
 // used.  How many such high-water marks fall in the counted half depends
-// on the seed; a counting probe put them at 20-50 per cell whatever the
-// horizon, every one of them in the kernel.  The cells are sparse (a few
+// on the seed; a counting probe put them at 50-80 per cell whatever the
+// horizon, every one of them in the kernel (20-45 while injected arrivals
+// still sat in the wheel and pre-grew its buckets).  The cells are sparse (a few
 // dozen events per simulated second), so the horizon is stretched to
 // 10^4 s to make the count per event meaningful.  Before the middleware's
 // decision path was made allocation-free, it made about 2 per event.

@@ -3,12 +3,15 @@
 // ReferenceQueue below is a deliberately naive event queue — a std::set
 // ordered on (time, seq) — written against the Simulator's documented
 // contract and sharing no code with src/sim/.  These tests drive both
-// through identical randomized schedule / cancel / reschedule / run churn —
-// including same-instant ties, events scheduled from inside callbacks, and
-// horizons far past 64^6 usec (the wheel's levels 6 and up) — and require
-// identical dispatch sequences, cancel/reschedule results and now()
-// trajectories.  A full-middleware run's rendered trace is pinned by
-// digest, so any change to dispatch order fails here too.
+// through identical randomized schedule / cancel / reschedule / feed / run
+// churn — including same-instant ties, events scheduled and fed from
+// inside callbacks, and horizons far past 64^6 usec (the wheel's levels 6
+// and up) — and require identical dispatch sequences, cancel/reschedule
+// results and now() trajectories.  The reference models a fed event as a
+// plain schedule_at: the feed must dispatch each record exactly where an
+// event scheduled at the same moment would have run.  A full-middleware
+// run's rendered trace is pinned by digest, so any change to dispatch order
+// fails here too.
 //
 // Also here: the dead-entry regression tests.  cancel()/reschedule() used
 // to leave dead entries queued until they surfaced at the front, so a
@@ -59,6 +62,10 @@ class ReferenceQueue {
     events_.push_back({at, next_seq_++, std::move(fn), true});
     queue_.insert({at, events_.back().seq, events_.size() - 1});
     return events_.size() - 1;
+  }
+  void reserve_feed(std::size_t /*n*/) {}
+  void feed(std::int64_t at, std::function<void()> fn) {
+    schedule_at(at, std::move(fn));
   }
   bool cancel(Handle h) {
     Event& e = events_[h];
@@ -120,10 +127,20 @@ class ReferenceQueue {
 };
 
 /// The Simulator behind ReferenceQueue's interface, so one replay routine
-/// drives both.
+/// drives both.  A fed event's tag indexes its callback in fed_.
 class WheelQueue {
  public:
   using Handle = EventHandle;
+
+  WheelQueue() {
+    sim_.set_feed_sink([this](std::uint64_t tag) {
+      // Moved out first: the callback may feed, which grows fed_.
+      const std::function<void()> fn = std::move(fed_[tag]);
+      fn();
+    });
+  }
+  WheelQueue(const WheelQueue&) = delete;
+  WheelQueue& operator=(const WheelQueue&) = delete;
 
   [[nodiscard]] std::int64_t now() const { return sim_.now().usec(); }
   [[nodiscard]] std::uint64_t executed() const { return sim_.executed(); }
@@ -132,6 +149,11 @@ class WheelQueue {
   template <typename Fn>
   Handle schedule_at(std::int64_t at, Fn fn) {
     return sim_.schedule_at(Time(at), std::move(fn));
+  }
+  void reserve_feed(std::size_t n) { sim_.reserve_feed(n); }
+  void feed(std::int64_t at, std::function<void()> fn) {
+    fed_.push_back(std::move(fn));
+    sim_.feed(Time(at), fed_.size() - 1);
   }
   bool cancel(Handle h) { return sim_.cancel(h); }
   bool reschedule(Handle& h, std::int64_t at) {
@@ -143,25 +165,75 @@ class WheelQueue {
 
  private:
   Simulator sim_;
+  std::vector<std::function<void()>> fed_;
 };
 
 /// One externally-applied operation of the churn script.  Scripts are
 /// generated once per seed and replayed verbatim against each queue, so
 /// both see exactly the same call sequence.
 struct Op {
-  enum Kind { kSchedule, kCancel, kReschedule, kRunUntil, kStep } kind;
+  enum Kind { kSchedule, kCancel, kReschedule, kRunUntil, kStep, kFeed } kind;
   std::int64_t a = 0;  // schedule/reschedule/run_until: time offset
   std::size_t target = 0;  // cancel/reschedule: index into issued handles
-  std::uint64_t id = 0;    // schedule: event identity for the dispatch log
+  std::uint64_t id = 0;    // schedule: event identity for the dispatch log;
+                           // feed: identity of batch[0], then id + 1, ...
+  std::vector<std::int64_t> batch = {};  // feed: time offsets, input order
 };
 
-std::vector<Op> make_script(std::uint64_t seed, int ops) {
+/// Appends a feed batch (sorted, unsorted, a repeat of the previous batch,
+/// or all on one instant) and sometimes a run_until that stops exactly at
+/// one of its records, one microsecond before it, or between two of them.
+void add_feed_batch(Rng& rng, std::vector<Op>& script,
+                    std::uint64_t& next_id,
+                    std::vector<std::int64_t>& previous) {
+  static constexpr std::int64_t kSpans[] = {63, 4095, 262143, 16777215};
+  const auto span = kSpans[static_cast<std::size_t>(rng.uniform_int(0, 3))];
+  std::vector<std::int64_t> batch;
+  const std::int64_t shape = rng.uniform_int(0, 3);
+  if (shape == 2 && !previous.empty()) {
+    batch = previous;
+  } else {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 24));
+    const std::int64_t instant = rng.uniform_int(0, span) & ~3LL;
+    for (std::size_t i = 0; i < n; ++i) {
+      // Offsets share the schedule ops' coarse grid, so records tie with
+      // wheel events filed both before and after the batch.
+      batch.push_back(shape == 3 ? instant : rng.uniform_int(0, span) & ~3LL);
+    }
+    if (shape == 0) std::sort(batch.begin(), batch.end());
+  }
+  previous = batch;
+  script.push_back({Op::kFeed, 0, 0, next_id, batch});
+  next_id += batch.size();
+  const std::int64_t roll = rng.uniform_int(0, 3);
+  const auto pick = [&] {
+    return batch[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(batch.size()) - 1))];
+  };
+  if (roll == 0) {
+    script.push_back({Op::kRunUntil, pick()});
+  } else if (roll == 1) {
+    script.push_back({Op::kRunUntil, std::max<std::int64_t>(pick() - 1, 0)});
+  } else if (roll == 2) {
+    script.push_back({Op::kRunUntil, (pick() + pick()) / 2});
+  }
+}
+
+/// A random churn script.  With `feeds`, feed batches are interleaved from
+/// a second stream, so the schedule/cancel/reschedule/run ops stay those
+/// of the plain script for the same seed.
+std::vector<Op> make_script(std::uint64_t seed, int ops, bool feeds = false) {
   Rng rng(seed);
+  Rng feed_rng(seed + 0x5eed);
+  std::vector<std::int64_t> previous_batch;
   std::vector<Op> script;
   script.reserve(static_cast<std::size_t>(ops));
   std::uint64_t next_id = 1;
   std::size_t handles = 0;
   for (int i = 0; i < ops; ++i) {
+    if (feeds && feed_rng.uniform_int(0, 9) == 0) {
+      add_feed_batch(feed_rng, script, next_id, previous_batch);
+    }
     const std::int64_t roll = rng.uniform_int(0, 99);
     if (roll < 55 || handles == 0) {
       // Offsets span the low wheel levels and (rarely) levels 6 and up, and
@@ -198,7 +270,9 @@ using Log = std::vector<std::pair<std::int64_t, std::uint64_t>>;
 /// Replay a script and return the log: (time, id) per executed event, the
 /// result of every cancel/reschedule, and a now() sample after every run
 /// op.  Callbacks for ids divisible by 7 schedule a child event
-/// mid-dispatch, exercising the schedule-at-current-instant path.
+/// mid-dispatch, exercising the schedule-at-current-instant path; those
+/// for ids divisible by 11 feed one, so records are appended from inside
+/// wheel callbacks and from inside the feed sink itself.
 template <typename Queue>
 Log replay(const std::vector<Op>& script) {
   Queue queue;
@@ -214,6 +288,10 @@ Log replay(const std::vector<Op>& script) {
         queue->schedule_at(
             queue->now() + static_cast<std::int64_t>(id % 977),
             Recorder{queue, log, id + 1000000});
+      }
+      if (id % 11 == 0) {
+        queue->feed(queue->now() + static_cast<std::int64_t>(id % 509),
+                    Recorder{queue, log, id + 2000000});
       }
     }
   };
@@ -241,6 +319,13 @@ Log replay(const std::vector<Op>& script) {
           if (!queue.step()) break;
         }
         break;
+      case Op::kFeed:
+        queue.reserve_feed(op.batch.size());
+        for (std::size_t i = 0; i < op.batch.size(); ++i) {
+          queue.feed(queue.now() + op.batch[i],
+                     Recorder{&queue, &log, op.id + i});
+        }
+        break;
     }
   }
   queue.run_all();
@@ -259,6 +344,21 @@ TEST(CrossKernelOracleTest, RandomChurnDispatchesByteIdentically) {
   }
 }
 
+TEST(CrossKernelOracleTest, RandomChurnWithFeedBatchesDispatchesIdentically) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const std::vector<Op> script = make_script(seed, 600, /*feeds=*/true);
+    const auto fed = std::count_if(script.begin(), script.end(),
+                                   [](const Op& op) {
+                                     return op.kind == Op::kFeed;
+                                   });
+    ASSERT_GT(fed, 30) << "seed " << seed;
+    const Log reference = replay<ReferenceQueue>(script);
+    const Log wheel = replay<WheelQueue>(script);
+    ASSERT_EQ(reference, wheel) << "seed " << seed;
+    ASSERT_GT(reference.size(), 100u) << "seed " << seed;
+  }
+}
+
 TEST(CrossKernelOracleTest, OverflowHorizonChurnMatches) {
   // Concentrate on the wheel's upper levels and multi-level jumps: every
   // event starts at least 64^6 usec out, a few reach 2^62 usec (levels 7 to
@@ -270,6 +370,16 @@ TEST(CrossKernelOracleTest, OverflowHorizonChurnMatches) {
     // is placed past kMax.
     std::vector<Op> script = {{Op::kSchedule, kMax, 0, 1},
                               {Op::kSchedule, kMax - 1, 0, 2}};
+    // Fed records on the same far levels, and one on the last instant but
+    // two; 3000001 neither schedules nor feeds a child.
+    script.push_back({Op::kFeed, 0, 0, 3000001, {kMax - 2}});
+    std::vector<std::int64_t> far_batch;
+    for (int i = 0; i < 16; ++i) {
+      far_batch.push_back(kFarUsec + rng.uniform_int(0, kFarUsec * 3));
+    }
+    far_batch.push_back(kFarUsec * 2);  // the first run_until stops on it
+    far_batch.push_back(kFarUsec * 2 + 7);
+    script.push_back({Op::kFeed, 0, 0, 4000001, far_batch});
     std::uint64_t id = 3;
     for (int i = 0; i < 64; ++i) {
       script.push_back({Op::kSchedule,
@@ -281,8 +391,19 @@ TEST(CrossKernelOracleTest, OverflowHorizonChurnMatches) {
                         rng.uniform_int(kFarUsec * 64, std::int64_t{1} << 62),
                         0, id++});
     }
+    script.push_back({Op::kFeed, 0, 0, 5000001,
+                      {std::int64_t{1} << 62, kFarUsec * 64, kFarUsec * 64}});
     script.push_back({Op::kRunUntil, kFarUsec * 2});
+    script.push_back({Op::kRunUntil, 6});  // one short of kFarUsec * 2 + 7
+    script.push_back({Op::kRunUntil, 1});  // exactly on it
     for (int i = 0; i < 64; ++i) {
+      if (i % 16 == 0) {
+        std::vector<std::int64_t> batch;
+        for (int k = 0; k < 8; ++k) {
+          batch.push_back(rng.uniform_int(0, kFarUsec * 2));
+        }
+        script.push_back({Op::kFeed, 0, 0, 6000001 + 100 * id, batch});
+      }
       script.push_back({Op::kSchedule, rng.uniform_int(0, kFarUsec * 2), 0,
                         id++});
       script.push_back(

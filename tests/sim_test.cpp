@@ -195,6 +195,98 @@ TEST(SimulatorTest, RescheduledHandleCancelsAtNewInstant) {
   EXPECT_EQ(sim.executed(), 0u);
 }
 
+// --- Fed events --------------------------------------------------------------
+
+TEST(SimulatorFeedTest, PendingAndExecutedCountFedEvents) {
+  Simulator sim;
+  std::vector<std::uint64_t> ran;
+  sim.set_feed_sink([&](std::uint64_t tag) { ran.push_back(tag); });
+  sim.schedule_at(Time(10), [] {});
+  sim.reserve_feed(3);
+  sim.feed(Time(5), 1);
+  sim.feed(Time(20), 2);
+  sim.feed(Time(30), 3);
+  EXPECT_EQ(sim.pending(), 4u);
+  EXPECT_EQ(sim.queue_entries(), 1u);  // fed records are not wheel entries
+  sim.run_until(Time(20));
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_EQ(sim.executed(), 3u);
+  sim.run_all();
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.executed(), 4u);
+  EXPECT_EQ(ran, (std::vector<std::uint64_t>{1, 2, 3}));
+}
+
+TEST(SimulatorFeedTest, RunUntilRunsRecordsAtExactlyTheDeadline) {
+  Simulator sim;
+  std::vector<std::uint64_t> ran;
+  sim.set_feed_sink([&](std::uint64_t tag) { ran.push_back(tag); });
+  sim.feed(Time(100), 1);
+  sim.feed(Time(101), 2);
+  sim.run_until(Time(99));
+  EXPECT_TRUE(ran.empty());
+  EXPECT_EQ(sim.now(), Time(99));
+  sim.run_until(Time(100));
+  EXPECT_EQ(ran, (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(sim.now(), Time(100));
+  EXPECT_EQ(sim.pending(), 1u);
+}
+
+TEST(SimulatorFeedTest, SameInstantTiesFollowScheduleOrder) {
+  // A fed record sits where a schedule_at at the same moment would have:
+  // after wheel events scheduled before it, before those scheduled after.
+  Simulator sim;
+  std::vector<int> order;
+  sim.set_feed_sink([&](std::uint64_t tag) {
+    order.push_back(static_cast<int>(tag));
+  });
+  sim.schedule_at(Time(50), [&] { order.push_back(1); });
+  sim.feed(Time(50), 2);
+  sim.feed(Time(50), 3);
+  sim.schedule_at(Time(50), [&] { order.push_back(4); });
+  sim.feed(Time(50), 5);
+  sim.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+TEST(SimulatorFeedTest, StepAndRunAllMergeBothSources) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.set_feed_sink([&](std::uint64_t tag) {
+    order.push_back(static_cast<int>(tag));
+    // A fed event may schedule onto the wheel and feed more records.
+    if (tag == 20) sim.schedule_at(sim.now(), [&] { order.push_back(21); });
+    if (tag == 40) sim.feed(sim.now() + Duration(5), 45);
+  });
+  sim.schedule_at(Time(30), [&] { order.push_back(30); });
+  sim.feed(Time(40), 40);  // an unsorted batch: sorted on first dispatch
+  sim.feed(Time(20), 20);
+  sim.feed(Time(60), 60);
+  sim.schedule_at(Time(10), [&] { order.push_back(10); });
+  EXPECT_TRUE(sim.step());
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(order, (std::vector<int>{10, 20}));
+  EXPECT_EQ(sim.now(), Time(20));
+  sim.run_all();
+  EXPECT_EQ(order, (std::vector<int>{10, 20, 21, 30, 40, 45, 60}));
+  EXPECT_FALSE(sim.step());
+  EXPECT_EQ(sim.executed(), 7u);
+}
+
+TEST(SimulatorFeedTest, LaterBatchMergesIntoPartlyConsumedFeed) {
+  Simulator sim;
+  std::vector<std::uint64_t> ran;
+  sim.set_feed_sink([&](std::uint64_t tag) { ran.push_back(tag); });
+  for (std::uint64_t t = 1; t <= 6; ++t) sim.feed(Time(10 * t), t);
+  sim.run_until(Time(25));  // consumes 10 and 20
+  sim.reserve_feed(3);
+  sim.feed(Time(35), 35);
+  sim.feed(Time(30), 31);  // ties with the first batch's 30: runs after it
+  sim.feed(Time(70), 70);
+  sim.run_all();
+  EXPECT_EQ(ran, (std::vector<std::uint64_t>{1, 2, 3, 31, 35, 4, 5, 6, 70}));
+}
+
 // --- Processor ---------------------------------------------------------------
 
 TEST(ProcessorTest, RunsSingleItem) {

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -278,6 +279,13 @@ struct AubSafetyCase {
   const char* strategies;
 };
 
+// Without a PrintTo, gtest prints the case's raw bytes into the ctest name,
+// and those include the strategies pointer, which moves between builds.
+void PrintTo(const AubSafetyCase& c, std::ostream* os) {
+  *os << "seed " << c.seed << " P" << c.primaries << "R" << c.replicas
+      << " u" << c.utilization << " " << c.strategies;
+}
+
 class AubSafetyTest : public ::testing::TestWithParam<AubSafetyCase> {};
 
 TEST_P(AubSafetyTest, AdmittedJobsAlwaysMeetDeadlines) {
@@ -484,6 +492,12 @@ struct ReconfigSafetyCase {
   const char* strategies;
   std::size_t steps;
 };
+
+// Named for the same reason as AubSafetyCase's PrintTo.
+void PrintTo(const ReconfigSafetyCase& c, std::ostream* os) {
+  *os << "seed " << c.seed << " " << c.strategies << " " << c.steps
+      << " steps";
+}
 
 class ReconfigSafetyTest : public ::testing::TestWithParam<ReconfigSafetyCase> {
 };

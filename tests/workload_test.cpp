@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
 
 #include "sched/analysis.h"
 #include "test_helpers.h"
@@ -121,6 +122,11 @@ struct ImbalancedBuilderCase {
   std::size_t replicas;
   double utilization;
 };
+
+// Keeps gtest from printing the case's raw bytes into the ctest name.
+void PrintTo(const ImbalancedBuilderCase& c, std::ostream* os) {
+  *os << "P" << c.primaries << "R" << c.replicas << " u" << c.utilization;
+}
 
 class ImbalancedBuilderTest
     : public ::testing::TestWithParam<ImbalancedBuilderCase> {};
